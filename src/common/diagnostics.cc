@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/json.h"
+
 namespace cascade {
 
 std::string
@@ -59,37 +61,6 @@ log_level_name(LogLevel level)
     return "?";
 }
 
-namespace {
-
-// Minimal JSON string escaping, duplicated from telemetry to keep common
-// at the bottom of the dependency graph.
-std::string
-log_json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 Logger&
 Logger::instance()
 {
@@ -139,7 +110,7 @@ Logger::write(LogLevel level, const char* component,
                      "{\"log\":\"cascade\",\"level\":\"%s\","
                      "\"component\":\"%s\",\"msg\":\"%s\"}\n",
                      log_level_name(level), component,
-                     log_json_escape(message).c_str());
+                     json_escape(message).c_str());
     } else {
         std::fprintf(out, "cascade[%s] %s: %s\n", log_level_name(level),
                      component, message.c_str());

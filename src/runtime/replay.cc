@@ -1,6 +1,7 @@
 #include "runtime/replay.h"
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 
 namespace cascade::runtime {
@@ -39,6 +40,18 @@ decode_hex(const std::string& hex)
     return out;
 }
 
+/// Marks \p report diverged at the recorded event \p want.
+void
+diverge(ReplayReport* report, const ReplayLogEvent& want, std::string actual)
+{
+    report->diverged = true;
+    report->divergence_seq = want.seq;
+    report->divergence_vt = want.vt;
+    report->divergence_type = want.type;
+    report->expected = want.type + " " + want.data_raw;
+    report->actual = std::move(actual);
+}
+
 /// The in-order divergence detector, attached as the runtime journal's
 /// observer. Compares each compared-class event the replay produces
 /// against the next compared-class event of the recording.
@@ -63,12 +76,7 @@ struct Comparator {
         }
         const ReplayLogEvent& want = (*expected)[compared_idx[next]];
         if (event.type != want.type || event.data != want.data_raw) {
-            report->diverged = true;
-            report->divergence_seq = want.seq;
-            report->divergence_vt = want.vt;
-            report->divergence_type = want.type;
-            report->expected = want.type + " " + want.data_raw;
-            report->actual = event.type + " " + event.data;
+            diverge(report, want, event.type + " " + event.data);
             return;
         }
         ++next;
@@ -81,31 +89,17 @@ struct Comparator {
 bool
 load_journal(const std::string& path, ReplayLog* out, std::string* err)
 {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
         if (err != nullptr) {
             *err = "cannot open '" + path + "'";
         }
         return false;
     }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        text.append(buf, n);
-    }
-    std::fclose(f);
-
-    size_t start = 0;
+    std::string line;
     size_t lineno = 0;
     bool have_header = false;
-    while (start < text.size()) {
-        size_t end = text.find('\n', start);
-        if (end == std::string::npos) {
-            end = text.size();
-        }
-        const std::string line = text.substr(start, end - start);
-        start = end + 1;
+    while (std::getline(in, line)) {
         ++lineno;
         if (line.empty()) {
             continue;
@@ -193,42 +187,27 @@ replay_into(Runtime* rt, const ReplayLog& log, const ReplayOptions& opts)
     ReplayReport report;
 
     // Extract everything the runtime must pin: per-version placement
-    // seeds, the scheduler iteration each compile decision landed at, and
-    // the open-loop grant sequence.
-    Runtime::ReplaySchedule schedule;
+    // seeds, the iteration each build landed at, forced rejections, the
+    // open-loop grant sequence and the evictions.
+    ReplaySchedule schedule;
     for (const ReplayLogEvent& ev : log.events) {
-        if (ev.type == "adopt" || ev.type == "compile.rejected") {
-            Runtime::ReplaySchedule::CompilePoint point;
-            point.iteration = ev.data.get_u64("iteration");
-            point.version = ev.data.get_u64("version");
-            schedule.compile_points.push_back(point);
-            if (ev.type == "compile.rejected") {
-                // A rejection is forced verbatim on replay: hypervisor
-                // denials (quota, shared-fabric capacity) cannot be
-                // re-derived against the exclusive replay device.
-                schedule.rejections[point.version] =
-                    ev.data.get_str("error");
+        const std::string& t = ev.type;
+        if (t == "adopt" || t == "compile.rejected" || t == "jit.adopt" ||
+            t == "jit.unavailable") {
+            const uint64_t version = ev.data.get_u64("version");
+            schedule.landings.push_back({ev.data.get_u64("iteration"),
+                                         version, t.rfind("jit.", 0) == 0});
+            if (t == "compile.rejected") {
+                schedule.rejections[version] = ev.data.get_str("error");
+            } else if (t == "jit.unavailable") {
+                schedule.jit_unavailable.insert(version);
             }
-        } else if (ev.type == "jit.adopt" || ev.type == "jit.unavailable") {
-            // JIT-tier decisions replay at their recorded iteration, and
-            // a recorded "no usable compiler" is forced verbatim (the
-            // replay host's toolchain may differ from the recording's).
-            Runtime::ReplaySchedule::CompilePoint point;
-            point.iteration = ev.data.get_u64("iteration");
-            point.version = ev.data.get_u64("version");
-            schedule.jit_points.push_back(point);
-            if (ev.type == "jit.unavailable") {
-                schedule.jit_unavailable.insert(point.version);
-            }
-        } else if (ev.type == "openloop.grant") {
+        } else if (t == "openloop.grant") {
             schedule.grants.push_back(ev.data.get_u64("batch"));
-        } else if (ev.type == "compile.launch") {
+        } else if (t == "compile.launch") {
             schedule.seeds[ev.data.get_u64("version")] =
                 ev.data.get_u64("seed");
-        } else if (ev.type == "hypervisor.evict") {
-            // Shared-mode evictions re-fire at their recorded scheduler
-            // iteration (the hw->sw relocation is deterministic given
-            // the iteration, so the session replays tick-exact).
+        } else if (t == "hypervisor.evict") {
             schedule.evictions.push_back(ev.data.get_u64("iteration"));
         }
     }
@@ -274,12 +253,11 @@ replay_into(Runtime* rt, const ReplayLog& log, const ReplayOptions& opts)
         } else if (t == "api.run_ticks") {
             rt->run_for_ticks(ev.data.get_u64("n"));
         } else if (t == "api.wait_hw") {
-            // A recorded timeout is not re-waited (it proved nothing
-            // adopted); a recorded success blocks until the pinned
-            // adoption fires.
-            if (ev.data.get_bool("ok")) {
-                rt->wait_for_hardware(opts.hardware_wait_s);
-            }
+            // Re-waited whatever it returned: a wait that timed out may
+            // still have adopted a JIT kernel or taken a rejection, and
+            // the replayed wait applies exactly the landings pinned to
+            // this iteration.
+            rt->wait_for_hardware(opts.hardware_wait_s);
         } else if (t == "api.set_pad") {
             rt->set_pad(ev.data.get_u64("value"));
         } else if (t == "api.fifo_push") {
@@ -287,14 +265,9 @@ replay_into(Runtime* rt, const ReplayLog& log, const ReplayOptions& opts)
         } else if (t == "api.led") {
             const BitVector led = rt->led_state();
             if (led.to_uint64() != ev.data.get_u64("value")) {
-                report.diverged = true;
-                report.divergence_seq = ev.seq;
-                report.divergence_vt = ev.vt;
-                report.divergence_type = t;
-                report.expected = t + " " + ev.data_raw;
-                report.actual =
-                    t + " {\"value\":" + std::to_string(led.to_uint64()) +
-                    "}";
+                diverge(&report, ev,
+                        t + " {\"value\":" +
+                            std::to_string(led.to_uint64()) + "}");
             }
         } else if (t == "api.vcd") {
             rt->vcd_open(ev.data.get_str("path"));
@@ -329,14 +302,8 @@ replay_into(Runtime* rt, const ReplayLog& log, const ReplayOptions& opts)
     // The recording may end with compared events the replay never
     // produced (e.g. it recorded an adoption the replay missed).
     if (!report.diverged && cmp.next < cmp.compared_idx.size()) {
-        const ReplayLogEvent& want =
-            log.events[cmp.compared_idx[cmp.next]];
-        report.diverged = true;
-        report.divergence_seq = want.seq;
-        report.divergence_vt = want.vt;
-        report.divergence_type = want.type;
-        report.expected = want.type + " " + want.data_raw;
-        report.actual = "<missing: replay produced no such event>";
+        diverge(&report, log.events[cmp.compared_idx[cmp.next]],
+                "<missing: replay produced no such event>");
     }
 
     rt->journal().set_observer(nullptr);

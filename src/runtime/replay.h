@@ -13,6 +13,9 @@
 #define CASCADE_RUNTIME_REPLAY_H
 
 #include <cstdint>
+#include <deque>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,37 @@
 #include "telemetry/journal.h"
 
 namespace cascade::runtime {
+
+/// Everything replay pins to reproduce a recorded session, extracted
+/// from the journal and read by Runtime at its choice points (see
+/// Runtime::begin_replay). Only whether and when the runtime acts comes
+/// from here; the acting itself is the live code path.
+struct ReplaySchedule {
+    /// A JIT or fabric build the recording acted on (adopt, jit.adopt,
+    /// compile.rejected, jit.unavailable) and the scheduler iteration it
+    /// acted at. Kept in recorded order: landings pinned to one
+    /// iteration (several can land inside one hardware wait) replay in
+    /// the order the recording journaled them.
+    struct Landing {
+        uint64_t iteration = 0;
+        uint64_t version = 0;
+        bool jit = false;
+    };
+    std::deque<Landing> landings;
+    /// Versions whose recorded JIT build reported no usable compiler:
+    /// forced verbatim (the replay host's toolchain may differ).
+    std::set<uint64_t> jit_unavailable;
+    /// Versions whose compile was rejected in the recording, with the
+    /// recorded error text. Forced verbatim: hypervisor quota and
+    /// capacity denials cannot be re-derived on the exclusive replay
+    /// device.
+    std::map<uint64_t, std::string> rejections;
+    std::map<uint64_t, uint64_t> seeds; ///< version -> placement seed
+    std::deque<uint64_t> grants;        ///< open-loop batch sizes
+    /// Scheduler iterations at which the recording was evicted from
+    /// hardware (hypervisor.evict): the hw->sw relocation re-fires there.
+    std::deque<uint64_t> evictions;
+};
 
 /// One journal line, parsed and raw. \p data_raw is the payload's exact
 /// byte sequence from the file: divergence detection compares raw text
@@ -55,8 +89,10 @@ struct ReplayOptions {
     std::string record_path;
     /// Mirror replayed $display/$write output to stdout.
     bool echo = false;
-    /// How long a replayed api.wait_hw{ok:true} may block on the compile
-    /// server before giving up.
+    /// The timeout handed to each replayed wait_for_hardware. A replayed
+    /// wait applies the landings pinned to its iteration (blocking on
+    /// each build for at most 300 s) and returns, so it never runs out
+    /// this clock.
     double hardware_wait_s = 600.0;
 };
 

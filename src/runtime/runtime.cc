@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <thread>
 
 #include "common/check.h"
 #include "fpga/synth.h"
@@ -15,6 +11,7 @@
 #include "ir/rewrite.h"
 #include "jit/jit_kernel.h"
 #include "runtime/hw_engine.h"
+#include "runtime/replay.h"
 #include "runtime/sw_engine.h"
 #include "service/compile_service.h"
 #include "stdlib/stdlib.h"
@@ -1113,24 +1110,23 @@ Runtime::window()
     // relocation is safe. Replay re-applies recorded evictions at the
     // same iteration so shared-mode sessions stay deterministic.
     if (!finished_) {
-        if (replay_) {
-            while (!replay_schedule_.evictions.empty() &&
-                   replay_schedule_.evictions.front() <= iterations_) {
-                replay_schedule_.evictions.pop_front();
-                evict_to_software();
+        bool evict = false;
+        if (recorded_ != nullptr) {
+            for (std::deque<uint64_t>& due = recorded_->evictions;
+                 !due.empty() && due.front() <= iterations_;
+                 due.pop_front()) {
+                evict = true;
             }
-        } else if (fabric_ != nullptr &&
-                   user_location_ != Location::Software &&
-                   fabric_->eviction_pending(tenant_)) {
+        } else {
+            evict = fabric_ != nullptr &&
+                    user_location_ != Location::Software &&
+                    fabric_->eviction_pending(tenant_);
+        }
+        if (evict) {
             evict_to_software();
         }
     }
-    // JIT results before fabric results: when both tiers finish inside
-    // one window the kernel is adopted first and the fabric immediately
-    // upgrades it, so the journal order (jit.adopt before adopt) is the
-    // same one replay reproduces.
-    poll_jit();
-    poll_compiles();
+    poll_builds();
     service_peripherals();
     // Time-series + SLO sampling (README §Monitoring): interval-gated,
     // so between samples this is one wall-clock read.
@@ -1213,23 +1209,16 @@ Runtime::wait_for_hardware(double timeout_s)
             // A JIT kernel may land (and be adopted) while the fabric
             // compile is still running; the wait continues through it —
             // hardware_ready() means real residency.
-            poll_jit();
-            poll_compiles();
-            if (fabric_resident()) {
+            poll_builds();
+            // Replay landings are pinned to scheduler iterations and a
+            // wait never steps: the pass above applied every one pinned
+            // here, and no later one can land before the next step.
+            if (fabric_resident() || recorded_ != nullptr) {
                 break;
             }
             const double remaining = timeout_s - (wall_seconds() - t0);
             if (remaining <= 0) {
                 break;
-            }
-            if (replay_) {
-                // Replay completion is driven by the recorded schedule,
-                // not wall time; replay_poll_compiles (inside
-                // poll_compiles) blocks until the pinned compile lands.
-                if (replay_schedule_.compile_points.empty()) {
-                    break;
-                }
-                continue;
             }
             if (parked_outcome_.has_value() && fabric_ != nullptr) {
                 // Admission denied retryably: wake on fabric capacity
@@ -1333,8 +1322,7 @@ Runtime::stop_recording()
 void
 Runtime::begin_replay(ReplaySchedule schedule)
 {
-    replay_ = true;
-    replay_schedule_ = std::move(schedule);
+    recorded_ = std::make_unique<ReplaySchedule>(std::move(schedule));
 }
 
 void
@@ -2641,9 +2629,9 @@ Runtime::launch_compile()
     // compiles, and the journaled value when replaying a recording.
     uint64_t seed =
         options_.compile_seed != 0 ? options_.compile_seed : version_;
-    if (replay_) {
-        const auto it = replay_schedule_.seeds.find(version_);
-        if (it != replay_schedule_.seeds.end()) {
+    if (recorded_ != nullptr) {
+        const auto it = recorded_->seeds.find(version_);
+        if (it != recorded_->seeds.end()) {
             seed = it->second;
         }
     }
@@ -2701,23 +2689,92 @@ Runtime::launch_compile()
 }
 
 void
+Runtime::poll_builds()
+{
+    // JIT results before fabric results: when both tiers finish inside
+    // one window the kernel is adopted first and the fabric immediately
+    // upgrades it, so the journal order (jit.adopt before adopt) is the
+    // same one replay reproduces.
+    size_t pending = 0;
+    do {
+        pending = recorded_ != nullptr ? recorded_->landings.size() : 0;
+        poll_jit();
+        poll_compiles();
+    } while (recorded_ != nullptr && recorded_->landings.size() < pending);
+}
+
+bool
+Runtime::await_recorded(bool jit, uint64_t version,
+                        const std::function<bool(double)>& settled)
+{
+    std::deque<ReplaySchedule::Landing>& landings = recorded_->landings;
+    if (landings.empty() || landings.front().jit != jit ||
+        landings.front().iteration != iterations_ ||
+        landings.front().version != version) {
+        return false;
+    }
+    landings.pop_front();
+    TELEM_SPAN_HIST("compile.wait", m_.compile_wait_ns);
+    const double t0 = wall_seconds();
+    while (!settled(0.25)) {
+        if (wall_seconds() - t0 >= 300.0) {
+            log_event(LogLevel::Error, "replay",
+                      std::string(jit ? "jit build" : "compile") +
+                          " for v" + std::to_string(version) +
+                          " did not finish within 300s; replay will "
+                          "diverge");
+            return false;
+        }
+    }
+    return true;
+}
+
+void
 Runtime::poll_compiles()
 {
-    if (replay_) {
-        replay_poll_compiles();
-        return;
+    std::vector<service::CompileService::Done> landed;
+    const auto collect = [this, &landed] {
+        for (service::CompileService::Done& done :
+             compile_service_->poll(compile_client_)) {
+            landed.push_back(std::move(done));
+        }
+    };
+    if (recorded_ != nullptr) {
+        // Replay acts on the in-flight compile only at the iteration the
+        // recording did, after it landed (or nothing is left to land).
+        if (!pending_outcome_.has_value()) {
+            return;
+        }
+        const uint64_t version = pending_outcome_->version;
+        const auto settled = [&](double wait_s) {
+            collect();
+            return std::any_of(landed.begin(), landed.end(),
+                               [version](const auto& done) {
+                                   return done.version == version;
+                               }) ||
+                   (!compile_service_->wait_for_done(compile_client_,
+                                                     wait_s) &&
+                    !compile_service_->busy(compile_client_));
+        };
+        if (!await_recorded(/*jit=*/false, version, settled)) {
+            return;
+        }
     }
-    for (service::CompileService::Done& done :
-         compile_service_->poll(compile_client_)) {
+    collect();
+    for (service::CompileService::Done& done : landed) {
         if (done.version != version_ || !pending_outcome_.has_value()) {
             // Stale: the program changed since submission. Info-class
-            // event (never compared): whether a stale result surfaces
-            // before the queue clears is a wall-clock race.
-            journal_.record("compile.stale",
-                            telemetry::JsonWriter()
-                                .num("version", done.version)
-                                .num("req", done.request)
-                                .build());
+            // event (never compared), and kept out of a replay's journal:
+            // whether a stale result surfaces before the queue clears is
+            // a wall-clock race, and two replays of one recording must
+            // journal byte-identically.
+            if (recorded_ == nullptr) {
+                journal_.record("compile.stale",
+                                telemetry::JsonWriter()
+                                    .num("version", done.version)
+                                    .num("req", done.request)
+                                    .build());
+            }
             if (done.request != 0) {
                 finish_request(done.request, "compile", done.version,
                                false,
@@ -2891,18 +2948,12 @@ Runtime::adopt_hardware(CompileOutcome outcome,
     std::string error;
     double actual_clock_mhz = device_.clock_mhz();
     std::unique_ptr<fpga::Bitstream> fabric;
-    if (replay_) {
+    if (recorded_ != nullptr &&
+        recorded_->rejections.count(outcome.version) != 0) {
         // A recorded rejection is forced verbatim: hypervisor denials
         // (quota, capacity) cannot be re-derived on the exclusive replay
         // device, and device-level failures reproduce anyway.
-        const auto it = replay_schedule_.rejections.find(outcome.version);
-        if (it != replay_schedule_.rejections.end()) {
-            error = it->second;
-        } else {
-            fabric = device_.program(outcome.result, &error,
-                                     /*allow_derated_clock=*/true,
-                                     &actual_clock_mhz);
-        }
+        error = recorded_->rejections.at(outcome.version);
     } else if (admission != nullptr) {
         fabric = std::move(admission->bitstream);
         error = admission->error;
@@ -3291,20 +3342,24 @@ Runtime::launch_jit(std::shared_ptr<const verilog::ElaboratedModule> em,
 void
 Runtime::poll_jit()
 {
-    if (replay_) {
-        replay_poll_jit();
-        return;
-    }
     // A halted debugger pins the program in the interpreter — that is
     // where the user is cycle-stepping. The build stays pending (a warm
     // cache hit can otherwise land in the very window a hardware fire
     // evicted the tenant) and adopts when execution resumes.
-    if (debug_halted_.load(std::memory_order_relaxed)) {
+    if (debug_halted_.load(std::memory_order_relaxed) ||
+        !jit_job_.has_value()) {
         return;
     }
-    if (!jit_job_.has_value() ||
-        jit_job_->future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
+    const auto finished = [this](double wait_s) {
+        return jit_job_->future.wait_for(std::chrono::duration<double>(
+                   wait_s)) == std::future_status::ready;
+    };
+    // Replay acts on the build only at the iteration the recording did
+    // (codegen is content-addressed, so the compared jit.adopt digest
+    // reproduces), blocking until it finished; live acts once it has.
+    if (recorded_ != nullptr
+            ? !await_recorded(/*jit=*/true, jit_job_->version, finished)
+            : !finished(0)) {
         return;
     }
     JitJob job = std::move(*jit_job_);
@@ -3323,6 +3378,13 @@ Runtime::poll_jit()
                             .build());
         m_.jit_discarded->inc();
         return;
+    }
+    if (recorded_ != nullptr &&
+        recorded_->jit_unavailable.count(job.version) != 0) {
+        // Forced verbatim: the recording host had no usable JIT
+        // toolchain, and adopting this host's kernel would diverge.
+        build.kernel.reset();
+        build.error = "no usable compiler on the recording host";
     }
     if (build.kernel == nullptr) {
         // Graceful degradation: no usable compiler (or codegen/compile
@@ -3349,77 +3411,6 @@ Runtime::poll_jit()
                                      .boolean("hit", build.cache_hit)
                                      .build());
     adopt_jit(std::move(job), std::move(build));
-}
-
-void
-Runtime::replay_poll_jit()
-{
-    // Replay pins the JIT tier's decisions to their recorded scheduler
-    // iterations, mirroring replay_poll_compiles: the kernel build still
-    // runs for real (codegen is content-addressed, so the digest in the
-    // compared jit.adopt reproduces), but it is acted on only at the
-    // iteration the recording acted.
-    if (replay_schedule_.jit_points.empty() ||
-        replay_schedule_.jit_points.front().iteration != iterations_) {
-        return;
-    }
-    const ReplaySchedule::CompilePoint point =
-        replay_schedule_.jit_points.front();
-    replay_schedule_.jit_points.pop_front();
-    if (replay_schedule_.jit_unavailable.count(point.version) != 0) {
-        // Forced verbatim: the recording host had no usable JIT
-        // toolchain. Re-probing here would diverge on hosts where one
-        // exists, so the in-flight build (if any) is dropped unseen.
-        jit_job_.reset();
-        m_.jit_unavailable->inc();
-        journal_.record("jit.unavailable",
-                        telemetry::JsonWriter()
-                            .num("version", point.version)
-                            .num("iteration", iterations_)
-                            .build());
-        return;
-    }
-    if (!jit_job_.has_value() || jit_job_->version != point.version) {
-        log_event(LogLevel::Warn, "replay",
-                  "recorded jit adoption for v" +
-                      std::to_string(point.version) +
-                      " has no matching in-flight build");
-        return;
-    }
-    const double t0 = wall_seconds();
-    while (wall_seconds() - t0 < 300.0) {
-        if (jit_job_->future.wait_for(std::chrono::milliseconds(250)) !=
-            std::future_status::ready) {
-            continue;
-        }
-        JitJob job = std::move(*jit_job_);
-        jit_job_.reset();
-        JitBuild build = job.future.get();
-        if (build.kernel == nullptr) {
-            // The recording adopted a kernel this host cannot build;
-            // journal the divergence honestly and stay in software.
-            m_.jit_unavailable->inc();
-            journal_.record("jit.unavailable",
-                            telemetry::JsonWriter()
-                                .num("version", job.version)
-                                .num("iteration", iterations_)
-                                .build());
-            log_event(LogLevel::Warn, "replay",
-                      "recorded jit adoption for v" +
-                          std::to_string(job.version) +
-                          " failed to rebuild: " + build.error);
-            return;
-        }
-        journal_.record("jit.cache", telemetry::JsonWriter()
-                                         .num("version", job.version)
-                                         .boolean("hit", build.cache_hit)
-                                         .build());
-        adopt_jit(std::move(job), std::move(build));
-        return;
-    }
-    log_event(LogLevel::Warn, "replay",
-              "jit build for v" + std::to_string(point.version) +
-                  " did not finish within the replay wait bound");
 }
 
 bool
@@ -3527,63 +3518,6 @@ Runtime::finish_request(uint64_t id, const char* kind, uint64_t version,
 }
 
 void
-Runtime::replay_poll_compiles()
-{
-    // Replay pins adoption to the recorded scheduler iteration: the
-    // compile still runs for real on the server thread (with the pinned
-    // seed), but its result is acted on only at the iteration the
-    // recording adopted (or rejected) it — never earlier, never later.
-    if (replay_schedule_.compile_points.empty() ||
-        replay_schedule_.compile_points.front().iteration != iterations_) {
-        return;
-    }
-    const ReplaySchedule::CompilePoint point =
-        replay_schedule_.compile_points.front();
-    replay_schedule_.compile_points.pop_front();
-    const double t0 = wall_seconds();
-    TELEM_SPAN_HIST("compile.wait", m_.compile_wait_ns);
-    while (wall_seconds() - t0 < 300.0) {
-        for (service::CompileService::Done& done :
-             compile_service_->poll(compile_client_)) {
-            if (done.version != point.version ||
-                !pending_outcome_.has_value()) {
-                // No compile.stale journal event here: whether a stale
-                // result surfaces before the adoption point is a
-                // wall-clock race, and a replayed session's journal must
-                // be byte-deterministic (CI diffs two replays of the
-                // same recording).
-                if (done.request != 0) {
-                    finish_request(
-                        done.request, "compile", done.version, false,
-                        telemetry::Tracer::global().now_us());
-                }
-                continue;
-            }
-            CompileOutcome outcome = std::move(*pending_outcome_);
-            pending_outcome_.reset();
-            outcome.result = std::move(done.result);
-            outcome.svc_cache_us = done.cache_us;
-            outcome.svc_enqueue_us = done.enqueue_us;
-            outcome.svc_dequeue_us = done.dequeue_us;
-            outcome.svc_done_us = done.done_us;
-            outcome.polled_us = telemetry::Tracer::global().now_us();
-            act_on_compile(std::move(outcome), nullptr);
-            return;
-        }
-        // Block on the service's done CV (no sleep-polling); a false
-        // return with nothing in flight means the result can never
-        // arrive, so fall through to the divergence report.
-        if (!compile_service_->wait_for_done(compile_client_, 0.25) &&
-            !compile_service_->busy(compile_client_)) {
-            break;
-        }
-    }
-    log_event(LogLevel::Error, "replay",
-              "compile for v" + std::to_string(point.version) +
-                  " did not finish within 300s; replay will diverge");
-}
-
-void
 Runtime::run_open_loop()
 {
     // The JIT tier free-runs only in the forwarded-equivalent shape
@@ -3596,12 +3530,7 @@ Runtime::run_open_loop()
           !adopted_prefixes_.empty())) {
         return;
     }
-    Slot* user = nullptr;
-    for (Slot& slot : slots_) {
-        if (slot.sub.path == "root") {
-            user = &slot;
-        }
-    }
+    Slot* user = user_slot();
     if (user == nullptr || !user->engine->supports_open_loop()) {
         return;
     }
@@ -3617,14 +3546,15 @@ Runtime::run_open_loop()
         open_loop_batch_ = std::max<uint64_t>(64,
                                               options_.open_loop_iterations);
     }
+    // Grant sizes were tuned against the recording host's wall clock:
+    // a replay consumes the journaled sequence instead of re-adapting.
+    const bool pinned = recorded_ != nullptr && !recorded_->grants.empty();
+    if (pinned) {
+        open_loop_batch_ = recorded_->grants.front();
+        recorded_->grants.pop_front();
+    }
     uint64_t grant = open_loop_batch_;
-    if (replay_ && !replay_schedule_.grants.empty()) {
-        // Grant sizes were tuned against the recording host's wall clock;
-        // consume the journaled sequence instead of re-adapting.
-        grant = replay_schedule_.grants.front();
-        replay_schedule_.grants.pop_front();
-        open_loop_batch_ = grant;
-    } else if (!replay_ && fabric_ != nullptr) {
+    if (!pinned && fabric_ != nullptr) {
         // Fair-share ticking: the hypervisor trims the grant when other
         // tenants are resident so no one monopolizes the fabric between
         // scheduler windows. The adaptive batch below still tracks the
@@ -3649,9 +3579,7 @@ Runtime::run_open_loop()
                                           .num("batch", grant)
                                           .num("itrs", itrs)
                                           .build());
-    static const bool oloop_env =
-        std::getenv("CASCADE_DEBUG_OLOOP") != nullptr;
-    if (oloop_env || Logger::instance().enabled(LogLevel::Debug)) {
+    if (Logger::instance().enabled(LogLevel::Debug)) {
         char buf[96];
         std::snprintf(buf, sizeof buf, "itrs=%llu batch=%llu wall=%.3f",
                       static_cast<unsigned long long>(itrs),
@@ -3659,7 +3587,7 @@ Runtime::run_open_loop()
                       wall);
         Logger::instance().write(LogLevel::Debug, "openloop", buf);
     }
-    if (!replay_) {
+    if (!pinned) {
         const double target =
             std::max(0.01, options_.open_loop_target_wall_s);
         if (wall > 1.5 * target) {
@@ -3776,17 +3704,6 @@ Runtime::promote_pins(
     return true;
 }
 
-const Runtime::Slot*
-Runtime::find_stdlib(const std::string& type) const
-{
-    for (const Slot& slot : slots_) {
-        if (slot.sub.module_name == type) {
-            return &slot;
-        }
-    }
-    return nullptr;
-}
-
 Runtime::Slot*
 Runtime::user_slot()
 {
@@ -3811,8 +3728,6 @@ json_double(double v)
     std::snprintf(buf, sizeof buf, "%.9g", v);
     return buf;
 }
-
-using telemetry::json_escape;
 
 } // namespace
 

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -48,6 +47,8 @@ class JitKernel;
 }
 
 namespace cascade::runtime {
+
+struct ReplaySchedule;
 
 /// Where a subprogram's engine currently executes (Fig. 9 stages).
 enum class Location {
@@ -245,7 +246,10 @@ class Runtime : public EngineCallbacks {
     /// Blocks (bounded by \p timeout_s wall seconds) until the in-flight
     /// background compile is adopted, polling without advancing virtual
     /// time — so a program can start on the simulated fabric at tick 0.
-    /// Returns true once the user subprogram left software.
+    /// Returns true once the user subprogram is fabric-resident (a JIT
+    /// kernel adopted on the way does not end the wait). A replay's
+    /// wait applies the landings pinned to the current scheduler
+    /// iteration and returns.
     bool wait_for_hardware(double timeout_s = 10.0);
     /// @}
 
@@ -477,42 +481,12 @@ class Runtime : public EngineCallbacks {
     /// an identical runtime.
     std::string journal_header_json() const;
 
-    /// Everything replay pins to reproduce a recorded session: per-version
-    /// placement seeds, the scheduler iteration at which each compile
-    /// outcome was acted on (adoption is wall-clock-timed live), and the
-    /// open-loop batch grants (adaptively sized from wall time live).
-    struct ReplaySchedule {
-        struct CompilePoint {
-            uint64_t iteration = 0; ///< scheduler_iterations() at decision
-            uint64_t version = 0;   ///< program version decided on
-        };
-        std::deque<CompilePoint> compile_points; ///< adoptions + rejections
-        /// JIT-tier decisions (jit.adopt / jit.unavailable events), pinned
-        /// to their recorded scheduler iteration exactly like
-        /// compile_points so the compared event order reproduces.
-        std::deque<CompilePoint> jit_points;
-        /// Versions whose recorded JIT build reported no usable compiler:
-        /// forced verbatim (the replay host's toolchain may differ).
-        std::set<uint64_t> jit_unavailable;
-        std::deque<uint64_t> grants;             ///< open-loop batch sizes
-        std::map<uint64_t, uint64_t> seeds;      ///< version -> place seed
-        /// Scheduler iterations at which the recorded session was evicted
-        /// from hardware (hypervisor.evict events): replay re-triggers
-        /// the hw->sw relocation at exactly these points.
-        std::deque<uint64_t> evictions;
-        /// Versions whose compile was rejected in the recording, with the
-        /// recorded error text (hypervisor quota/admission denials cannot
-        /// be re-derived on the exclusive replay device, so every
-        /// recorded rejection is forced verbatim).
-        std::map<uint64_t, std::string> rejections;
-    };
-
-    /// Enters replay mode on a fresh session: compile outcomes are acted
-    /// on exactly at the recorded scheduler iterations (blocking on the
-    /// compile server as needed), placement seeds and open-loop grants
-    /// come from the schedule instead of wall time.
+    /// Enters replay mode on a fresh session. The recorded schedule
+    /// (replay.h) decides whether and when the runtime acts at each of
+    /// its choice points: placement seeds, compile and JIT landings
+    /// (blocking on the builds as needed), forced rejections, open-loop
+    /// grant sizes and evictions. How it acts stays the live code path.
     void begin_replay(ReplaySchedule schedule);
-    bool replaying() const { return replay_; }
     /// @}
 
     /// EngineCallbacks:
@@ -630,8 +604,6 @@ class Runtime : public EngineCallbacks {
     /// Journals a `log` event and mirrors it through the process Logger.
     void log_event(LogLevel level, const char* component,
                    const std::string& message);
-    /// poll_compiles() in replay mode: act only at scheduled iterations.
-    void replay_poll_compiles();
     /// Journals compile.cache + compile.done and hands the outcome to
     /// adopt_hardware(). \p admission is the hypervisor's slot grant in
     /// shared mode, null in exclusive mode (the private device programs).
@@ -659,6 +631,17 @@ class Runtime : public EngineCallbacks {
     void service_peripherals();
     uint32_t pad_width_hint(const std::string& net) const;
     void poll_compiles();
+    /// JIT results, then fabric results (poll_jit(), poll_compiles()).
+    /// In replay it repeats until no landing pinned to this iteration
+    /// is left, so landings apply in their recorded order.
+    void poll_builds();
+    /// Replay's "when" for a build landing: true, after blocking until
+    /// \p settled (bounded at 300 s), when the recording acted on the
+    /// \p jit tier's build of \p version at this scheduler iteration.
+    /// \p settled(wait_s) may block wait_s and reports whether the
+    /// build finished or never can.
+    bool await_recorded(bool jit, uint64_t version,
+                        const std::function<bool(double)>& settled);
     /// True when the program moved to hardware; false on rejection (the
     /// request tracer closes a rejected request at the adoption segment,
     /// an adopted one only after its first hardware tick).
@@ -679,12 +662,8 @@ class Runtime : public EngineCallbacks {
     /// to the fabric compiler (journals jit.launch).
     void launch_jit(std::shared_ptr<const verilog::ElaboratedModule> em,
                     const CompileOutcome& outcome);
-    /// Adopts/discards a finished JIT build. Called right before
-    /// poll_compiles() so that, when both tiers land in one window, the
-    /// jit.adopt always precedes the fabric adopt in the journal.
+    /// Adopts/discards a finished JIT build (see poll_builds()).
     void poll_jit();
-    /// poll_jit() in replay mode: act only at recorded jit_points.
-    void replay_poll_jit();
     /// Wraps the build into a CompileOutcome and runs adopt_fabric.
     bool adopt_jit(JitJob job, JitBuild build);
     /// The user program occupies actual fabric (Hardware,
@@ -714,7 +693,6 @@ class Runtime : public EngineCallbacks {
     std::vector<bool> initial_skip_mask(
         const verilog::ElaboratedModule& em, const std::string& path,
         bool record);
-    const Slot* find_stdlib(const std::string& type) const;
     Slot* user_slot();
 
     /// Accumulated profile of one process across retired engine
@@ -855,8 +833,8 @@ class Runtime : public EngineCallbacks {
     uint64_t pending_api_steps_ = 0;
     /// Crash black-box source registration (removed in the dtor).
     int blackbox_id_ = 0;
-    bool replay_ = false;
-    ReplaySchedule replay_schedule_;
+    /// The recorded schedule while replaying, null in a live session.
+    std::unique_ptr<ReplaySchedule> recorded_;
     Metrics m_;
     /// True only during the ctor's implicit "Clock clk();" eval, which
     /// stays out of the user-facing repl.* metrics.

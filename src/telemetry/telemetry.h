@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace cascade::telemetry {
 
 /// Monotonic counter. inc() is lock-free.
@@ -194,9 +196,6 @@ class Registry {
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/// Escapes a string for embedding in JSON (quotes not included).
-std::string json_escape(const std::string& s);
 
 } // namespace cascade::telemetry
 

@@ -13,12 +13,15 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hypervisor/fabric_manager.h"
 #include "runtime/repl.h"
+#include "service/compile_service.h"
 
 namespace cascade::runtime {
 namespace {
@@ -399,6 +402,238 @@ TEST(Replay, RequestTracingIsDeterministicAcrossReplay)
     std::filesystem::remove(path);
     std::filesystem::remove(replay1);
     std::filesystem::remove(replay2);
+}
+
+std::string
+read_file(const std::string& path)
+{
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+uint64_t
+counter(Runtime& rt, const char* name)
+{
+    return rt.telemetry().counter(name)->value();
+}
+
+/// Calls wait_for_hardware, never stepping, until the JIT tier decided
+/// (adopted, or unavailable without a compiler) and the fabric compile
+/// was rejected. Every wait returns false, and every landing happens at
+/// scheduler iteration 0, inside one of those waits.
+void
+settle_without_stepping(Runtime* rt)
+{
+    const auto start = std::chrono::steady_clock::now();
+    while (counter(*rt, "compile.rejected") == 0 ||
+           counter(*rt, "jit.adopted") + counter(*rt, "jit.unavailable") ==
+               0) {
+        EXPECT_FALSE(rt->wait_for_hardware(30.0));
+        if (std::chrono::steady_clock::now() - start >
+            std::chrono::seconds(60)) {
+            ADD_FAILURE() << "the JIT and fabric landings never came";
+            return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(rt->scheduler_iterations(), 0u);
+}
+
+/// Replays \p path twice, re-recording each run: both replays must match
+/// the recording, and the two re-recorded journals must be byte-identical.
+void
+expect_replays_identically(const std::string& path)
+{
+    const std::string again[2] = {path + ".again1", path + ".again2"};
+    for (const std::string& p : again) {
+        ReplayOptions ropts;
+        ropts.record_path = p;
+        const ReplayReport report = replay_journal(path, ropts);
+        EXPECT_TRUE(report.ok) << report.summary();
+        EXPECT_GT(report.outputs_compared, 0u);
+    }
+    const std::string first = read_file(again[0]);
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(first, read_file(again[1]));
+    for (const std::string& p : again) {
+        std::filesystem::remove(p);
+    }
+}
+
+/// The recorded events of type \p type.
+std::vector<ReplayLogEvent>
+events_of(const std::string& path, const std::string& type)
+{
+    ReplayLog log;
+    std::string err;
+    EXPECT_TRUE(load_journal(path, &log, &err)) << err;
+    std::vector<ReplayLogEvent> out;
+    for (const ReplayLogEvent& ev : log.events) {
+        if (ev.type == type) {
+            out.push_back(ev);
+        }
+    }
+    return out;
+}
+
+TEST(Replay, LandingsInsideAFailedHardwareWaitReplay)
+{
+    // The device is too small for anything: the fabric compile is
+    // rejected and the JIT kernel keeps the program, both decided inside
+    // waits that returned false.
+    const std::string path = temp_path("small_device.jsonl");
+    {
+        Runtime::Options opts = hw_fast();
+        opts.device_les = 10;
+        Runtime rt(opts);
+        std::string err;
+        ASSERT_TRUE(rt.start_recording(path, &err)) << err;
+        ASSERT_TRUE(rt.eval(kProgram));
+        settle_without_stepping(&rt);
+        rt.run_for_ticks(40);
+        rt.stop_recording();
+    }
+    const auto rejected = events_of(path, "compile.rejected");
+    ASSERT_EQ(rejected.size(), 1u);
+    EXPECT_EQ(rejected[0].data.get_u64("iteration"), 0u);
+    for (const auto& wait : events_of(path, "api.wait_hw")) {
+        EXPECT_FALSE(wait.data.get_bool("ok"));
+    }
+    expect_replays_identically(path);
+    std::filesystem::remove(path);
+}
+
+TEST(Replay, QuotaDenialInsideAFailedHardwareWaitReplays)
+{
+    // Shared mode: the hypervisor denies the one-LE tenant, a decision
+    // the exclusive replay device cannot re-derive and must force.
+    const std::string path = temp_path("quota.jsonl");
+    {
+        service::CompileService svc;
+        hypervisor::FabricManager fm;
+        Runtime::Options opts = hw_fast();
+        opts.tenant_le_quota = 1;
+        Runtime rt(opts, svc, fm);
+        std::string err;
+        ASSERT_TRUE(rt.start_recording(path, &err)) << err;
+        ASSERT_TRUE(rt.eval(kProgram));
+        settle_without_stepping(&rt);
+        rt.run_for_ticks(40);
+        rt.stop_recording();
+    }
+    const auto rejected = events_of(path, "compile.rejected");
+    ASSERT_EQ(rejected.size(), 1u);
+    EXPECT_NE(rejected[0].data.get_str("error").find("quota"),
+              std::string::npos)
+        << rejected[0].data_raw;
+    expect_replays_identically(path);
+    std::filesystem::remove(path);
+}
+
+TEST(Replay, ForcedEvictionReplays)
+{
+    const std::string path = temp_path("evict.jsonl");
+    {
+        service::CompileService svc;
+        hypervisor::FabricManager fm;
+        Runtime rt(hw_fast(), svc, fm);
+        std::string err;
+        ASSERT_TRUE(rt.start_recording(path, &err)) << err;
+        ASSERT_TRUE(rt.eval(kProgram));
+        ASSERT_TRUE(rt.wait_for_hardware(60.0));
+        rt.run_for_ticks(300);
+        fm.request_eviction(rt.tenant_id());
+        rt.run_for_ticks(300);
+        rt.stop_recording();
+    }
+    ASSERT_EQ(events_of(path, "hypervisor.evict").size(), 1u);
+    expect_replays_identically(path);
+    std::filesystem::remove(path);
+}
+
+TEST(Replay, UnreachableLandingReturnsAtOnce)
+{
+    // A landing pinned to a later iteration than the replayed wait sits
+    // at cannot be reached without stepping: the wait must return at
+    // once instead of spinning out its timeout, and the comparator must
+    // report the divergence.
+    const std::string path = temp_path("unreachable.jsonl");
+    {
+        Runtime rt(hw_fast());
+        std::string err;
+        ASSERT_TRUE(rt.start_recording(path, &err)) << err;
+        ASSERT_TRUE(rt.eval(kProgram));
+        ASSERT_TRUE(rt.wait_for_hardware(60.0));
+        rt.run_for_ticks(200);
+        rt.stop_recording();
+    }
+    std::string text = read_file(path);
+    const size_t adopt = text.find("\"type\":\"adopt\"");
+    ASSERT_NE(adopt, std::string::npos);
+    const std::string pinned = "\"iteration\":0";
+    const size_t at = text.find(pinned, adopt);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_LT(at, text.find('\n', adopt));
+    text.replace(at, pinned.size(), "\"iteration\":1");
+    std::ofstream(path, std::ios::trunc) << text;
+
+    ReplayOptions ropts;
+    ropts.hardware_wait_s = 20.0;
+    const auto start = std::chrono::steady_clock::now();
+    const ReplayReport report = replay_journal(path, ropts);
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(elapsed, ropts.hardware_wait_s / 5);
+    EXPECT_TRUE(report.diverged) << report.summary();
+    std::filesystem::remove(path);
+}
+
+TEST(Replay, JournalHeaderRoundTripsEveryOption)
+{
+    // Every option the header carries, each off its default: a field the
+    // header writes but options_from_header drops reads back as the
+    // default and fails here.
+    Runtime::Options o;
+    o.enable_inlining = false;
+    o.enable_hardware = false;
+    o.enable_jit = false;
+    o.enable_forwarding = false;
+    o.enable_open_loop = false;
+    o.native_mode = true;
+    o.compile_effort = 0.125;
+    o.device_clock_mhz = 33.25;
+    o.mmio_latency_s = 3.5e-6;
+    o.device_les = 1234;
+    o.device_bram_bits = 5678;
+    o.open_loop_iterations = 99;
+    o.open_loop_target_wall_s = 0.375;
+    o.profiling = true;
+    o.compile_seed = 4242;
+    Runtime rt(o);
+    telemetry::JsonValue header;
+    ASSERT_TRUE(telemetry::parse_json(rt.journal_header_json(), &header));
+    // The fifteen fields asserted below are all the header holds.
+    EXPECT_EQ(header.obj.size(), 15u);
+
+    const Runtime::Options r = options_from_header(header);
+    EXPECT_EQ(r.enable_inlining, o.enable_inlining);
+    EXPECT_EQ(r.enable_hardware, o.enable_hardware);
+    EXPECT_EQ(r.enable_jit, o.enable_jit);
+    EXPECT_EQ(r.enable_forwarding, o.enable_forwarding);
+    EXPECT_EQ(r.enable_open_loop, o.enable_open_loop);
+    EXPECT_EQ(r.native_mode, o.native_mode);
+    EXPECT_EQ(r.compile_effort, o.compile_effort);
+    EXPECT_EQ(r.device_clock_mhz, o.device_clock_mhz);
+    EXPECT_EQ(r.mmio_latency_s, o.mmio_latency_s);
+    EXPECT_EQ(r.device_les, o.device_les);
+    EXPECT_EQ(r.device_bram_bits, o.device_bram_bits);
+    EXPECT_EQ(r.open_loop_iterations, o.open_loop_iterations);
+    EXPECT_EQ(r.open_loop_target_wall_s, o.open_loop_target_wall_s);
+    EXPECT_EQ(r.profiling, o.profiling);
+    EXPECT_EQ(r.compile_seed, o.compile_seed);
 }
 
 } // namespace
