@@ -15,9 +15,15 @@ the *bad* direction is a regression:
     never counts as a regression — counters like LE usage move for
     legitimate reasons.
 
+A baseline leaf absent from the fresh result is a schema break (a bench
+key renamed or dropped, or a stage that failed and was left out) and is
+reported as ``::warning title=bench schema::``, since it would otherwise
+drop out of the comparison silently.
+
 Shared CI runners are noisy, so this is a soft gate by default: findings
 are printed as GitHub ``::warning::`` annotations and the exit code stays
-0. Pass --strict (local perf work) to exit 1 on any regression.
+0. Pass --strict (nightly, local perf work) to exit 1 on any regression
+or missing leaf.
 
 Usage:
   check_bench_regression.py [--baseline-dir DIR] [--results-dir DIR]
@@ -57,13 +63,18 @@ def leaves(node, prefix=""):
 
 
 def compare(name, baseline, fresh, tolerance):
-    """Returns (regressions, drifts) as lists of message strings."""
+    """Returns (regressions, drifts, missing) as lists of message strings."""
     fresh_map = dict(leaves(fresh))
     regressions = []
     drifts = []
+    missing = []
     for path, base in leaves(baseline):
+        if path not in fresh_map:
+            missing.append(f"{name}: {path} is in the baseline but not in "
+                           f"the fresh result")
+            continue
         leaf = path.rsplit(".", 1)[-1]
-        if leaf in IGNORED or path not in fresh_map:
+        if leaf in IGNORED:
             continue
         new = fresh_map[path]
         if not (math.isfinite(base) and math.isfinite(new)):
@@ -80,7 +91,7 @@ def compare(name, baseline, fresh, tolerance):
             regressions.append(msg)
         elif direction == "unknown" and abs(rel) > tolerance:
             drifts.append(msg)
-    return regressions, drifts
+    return regressions, drifts, missing
 
 
 def main():
@@ -92,7 +103,8 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.5,
                         help="relative deviation allowed (0.5 = 50%%)")
     parser.add_argument("--strict", action="store_true",
-                        help="exit 1 on regressions instead of warning")
+                        help="exit 1 on regressions and missing leaves "
+                             "instead of warning")
     args = parser.parse_args()
 
     if not os.path.isdir(args.baseline_dir):
@@ -102,6 +114,7 @@ def main():
 
     regressions = []
     drifts = []
+    missing = []
     compared = 0
     for entry in sorted(os.listdir(args.baseline_dir)):
         if not (entry.startswith("BENCH_") and entry.endswith(".json")):
@@ -116,9 +129,10 @@ def main():
         with open(fresh_path) as f:
             fresh = json.load(f)
         name = entry[len("BENCH_"):-len(".json")]
-        regs, drft = compare(name, baseline, fresh, args.tolerance)
+        regs, drft, miss = compare(name, baseline, fresh, args.tolerance)
         regressions.extend(regs)
         drifts.extend(drft)
+        missing.extend(miss)
         compared += 1
 
     # Fresh results with no committed baseline are a soft warning too:
@@ -145,10 +159,13 @@ def main():
         print(f"::notice title=bench drift::{msg}")
     for msg in regressions:
         print(f"::warning title=bench regression::{msg}")
+    for msg in missing:
+        print(f"::warning title=bench schema::{msg}")
     print(f"compared {compared} baseline file(s): "
           f"{len(regressions)} regression(s), {len(drifts)} drift(s), "
+          f"{len(missing)} missing leaf(s), "
           f"{unseeded} unseeded fresh result(s)")
-    if regressions and args.strict:
+    if (regressions or missing) and args.strict:
         return 1
     return 0
 

@@ -16,9 +16,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 
+#include "bench_result.h"
 #include "runtime/runtime.h"
 
 using cascade::runtime::Runtime;
@@ -78,16 +78,11 @@ main()
     std::printf("\narmed/disarmed ratio: %.3f (break), %.3f (watch)\n",
                 disarmed / armed, disarmed / watch);
 
-    std::ofstream out("BENCH_debugger_overhead.json");
-    char body[256];
-    std::snprintf(body, sizeof body,
-                  "{\"disarmed_ticks_per_s\":%.0f,"
-                  "\"armed_break_ticks_per_s\":%.0f,"
-                  "\"armed_watch_ticks_per_s\":%.0f}",
-                  disarmed, armed, watch);
-    out << "{\"schema\":\"cascade.bench.v1\","
-        << "\"bench\":\"debugger_overhead\",\"configs\":" << body
-        << "}\n";
-    std::fprintf(stderr, "# results -> BENCH_debugger_overhead.json\n");
+    cascade::bench::BenchResult result("debugger_overhead");
+    result.begin_object("configs")
+        .dbl("disarmed_ticks_per_s", disarmed, "%.0f")
+        .dbl("armed_break_ticks_per_s", armed, "%.0f")
+        .dbl("armed_watch_ticks_per_s", watch, "%.0f");
+    result.write();
     return 0;
 }

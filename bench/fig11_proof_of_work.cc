@@ -23,6 +23,7 @@
 #include <fstream>
 #include <string>
 
+#include "bench_result.h"
 #include "fpga/compile.h"
 #include "runtime/runtime.h"
 #include "telemetry/trace.h"
@@ -186,32 +187,27 @@ main()
 
     // Headline result file (BENCH_*.json: what CI and regression diffing
     // consume; the CSV stream above stays the plotting source).
-    {
-        char buf[512];
-        std::ofstream out("BENCH_fig11_proof_of_work.json");
-        std::snprintf(
-            buf, sizeof buf,
-            "{\"schema\":\"cascade.bench.v1\","
-            "\"bench\":\"fig11_proof_of_work\",\"wall_seconds\":%.3f,"
-            "\"quartus\":{\"compile_seconds\":%.3f,\"native_hz\":%.1f,"
-            "\"les\":%llu},"
-            "\"iverilog\":{\"final_virtual_hz\":%.1f,"
-            "\"virtual_ticks\":%llu},"
-            "\"cascade\":{\"adopted\":%s,\"final_virtual_hz\":%.1f,"
-            "\"virtual_ticks\":%llu,\"speedup_vs_iverilog\":%.2f},",
-            now_s() - bench_t0, quartus_compile_s, quartus_native_hz,
-            static_cast<unsigned long long>(quartus_les),
-            iverilog.final_hz,
-            static_cast<unsigned long long>(iverilog.virtual_ticks),
-            casc.adopted ? "true" : "false", casc.final_hz,
-            static_cast<unsigned long long>(casc.virtual_ticks),
-            iverilog.final_hz > 0 ? casc.final_hz / iverilog.final_hz
-                                  : 0.0);
-        out << buf << "\"profile\":"
-            << (casc.profile_json.empty() ? "null" : casc.profile_json)
-            << "}\n";
-        std::fprintf(stderr,
-                     "# results -> BENCH_fig11_proof_of_work.json\n");
-    }
+    cascade::bench::BenchResult result("fig11_proof_of_work");
+    result.dbl("wall_seconds", now_s() - bench_t0, "%.3f")
+        .begin_object("quartus")
+        .dbl("compile_seconds", quartus_compile_s, "%.3f")
+        .dbl("native_hz", quartus_native_hz, "%.1f")
+        .num("les", quartus_les)
+        .end_object()
+        .begin_object("iverilog")
+        .dbl("final_virtual_hz", iverilog.final_hz, "%.1f")
+        .num("virtual_ticks", iverilog.virtual_ticks)
+        .end_object()
+        .begin_object("cascade")
+        .boolean("adopted", casc.adopted)
+        .dbl("final_virtual_hz", casc.final_hz, "%.1f")
+        .num("virtual_ticks", casc.virtual_ticks)
+        .dbl("speedup_vs_iverilog",
+             iverilog.final_hz > 0 ? casc.final_hz / iverilog.final_hz : 0.0,
+             "%.2f")
+        .end_object()
+        .raw("profile",
+             casc.profile_json.empty() ? "null" : casc.profile_json);
+    result.write();
     return 0;
 }

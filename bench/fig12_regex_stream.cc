@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_result.h"
 #include "fpga/compile.h"
 #include "runtime/runtime.h"
 #include "telemetry/trace.h"
@@ -147,24 +148,20 @@ main()
                 }
             }
         }
-        {
-            char buf[512];
-            std::ofstream out("BENCH_fig12_regex_stream.json");
-            std::snprintf(
-                buf, sizeof buf,
-                "{\"schema\":\"cascade.bench.v1\","
-                "\"bench\":\"fig12_regex_stream\",\"wall_seconds\":%.3f,"
-                "\"quartus\":{\"compile_seconds\":%.3f,"
-                "\"kio_per_s\":%.1f},"
-                "\"cascade\":{\"adopted\":%s,\"sw_kio_per_s\":%.1f,"
-                "\"hw_kio_per_s\":%.1f,\"bytes_consumed\":%llu},",
-                now_s() - bench_t0, quartus_compile_s, quartus_kio_result,
-                rt.hardware_ready() ? "true" : "false", sw_kio, hw_kio,
-                static_cast<unsigned long long>(rt.fifo_bytes_consumed()));
-            out << buf << "\"profile\":" << rt.profile_json() << "}\n";
-            std::fprintf(stderr,
-                         "# results -> BENCH_fig12_regex_stream.json\n");
-        }
+        cascade::bench::BenchResult result("fig12_regex_stream");
+        result.dbl("wall_seconds", now_s() - bench_t0, "%.3f")
+            .begin_object("quartus")
+            .dbl("compile_seconds", quartus_compile_s, "%.3f")
+            .dbl("kio_per_s", quartus_kio_result, "%.1f")
+            .end_object()
+            .begin_object("cascade")
+            .boolean("adopted", rt.hardware_ready())
+            .dbl("sw_kio_per_s", sw_kio, "%.1f")
+            .dbl("hw_kio_per_s", hw_kio, "%.1f")
+            .num("bytes_consumed", rt.fifo_bytes_consumed())
+            .end_object()
+            .raw("profile", rt.profile_json());
+        result.write();
         {
             std::ofstream sidecar("fig12_regex_stream.stats.json");
             sidecar << rt.stats_json() << '\n';

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <string>
 
+#include "bench_result.h"
 #include "fpga/compile.h"
 #include "runtime/runtime.h"
 #include "telemetry/trace.h"
@@ -98,8 +99,9 @@ main()
          // direct column's third size point.
          cascade::workloads::regex_stream_module()},
     };
-    std::string sidecar_body;
-    std::string results_body;
+    cascade::bench::BenchResult result("table3_startup_latency");
+    result.begin_object("workloads");
+    cascade::JsonWriter sidecar;
     for (const Case& c : cases) {
         Runtime::Options sw;
         sw.enable_hardware = false;
@@ -112,39 +114,19 @@ main()
         const double t_direct = time_direct_compile(c.module_src);
         std::printf("%-16s %11.3fs %11.3fs %11.2fs\n", c.name, t_sw,
                     t_cascade, t_direct);
-        {
-            char row[192];
-            std::snprintf(row, sizeof row,
-                          "\"%s\":{\"sw_seconds\":%.4f,"
-                          "\"cascade_seconds\":%.4f,"
-                          "\"direct_seconds\":%.4f}",
-                          c.name, t_sw, t_cascade, t_direct);
-            if (!results_body.empty()) {
-                results_body += ',';
-            }
-            results_body += row;
-        }
+        result.begin_object(c.name)
+            .dbl("sw_seconds", t_sw, "%.4f")
+            .dbl("cascade_seconds", t_cascade, "%.4f")
+            .dbl("direct_seconds", t_direct, "%.4f")
+            .end_object();
         if (!stats.empty()) {
-            if (!sidecar_body.empty()) {
-                sidecar_body += ',';
-            }
-            sidecar_body += '"';
-            sidecar_body += c.name;
-            sidecar_body += "\":";
-            sidecar_body += stats;
+            sidecar.raw(c.name, stats);
         }
     }
+    result.write();
     {
-        std::ofstream out("BENCH_table3_startup_latency.json");
-        out << "{\"schema\":\"cascade.bench.v1\","
-            << "\"bench\":\"table3_startup_latency\",\"workloads\":{"
-            << results_body << "}}\n";
-        std::fprintf(stderr,
-                     "# results -> BENCH_table3_startup_latency.json\n");
-    }
-    {
-        std::ofstream sidecar("table3_startup_latency.stats.json");
-        sidecar << '{' << sidecar_body << "}\n";
+        std::ofstream("table3_startup_latency.stats.json")
+            << sidecar.build() << '\n';
         std::fprintf(stderr, "# stats sidecar -> "
                              "table3_startup_latency.stats.json\n");
     }

@@ -21,10 +21,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_result.h"
 #include "jit/jit_cache.h"
 #include "runtime/runtime.h"
 #include "workloads/workloads.h"
@@ -203,22 +203,15 @@ main()
             measure(o, true, "native"));
     }
 
-    {
-        std::ofstream out("BENCH_table4_ablation.json");
-        out << "{\"schema\":\"cascade.bench.v1\","
-            << "\"bench\":\"table4_ablation\",\"stages\":{";
-        bool first = true;
-        for (const auto& [key, hz] : rows) {
-            if (hz < 0) {
-                continue; // failed stage: omit rather than poison the gate
-            }
-            out << (first ? "" : ",") << "\"" << key << "\":" << hz;
-            first = false;
+    cascade::bench::BenchResult result("table4_ablation");
+    result.begin_object("stages");
+    for (const auto& [key, hz] : rows) {
+        if (hz < 0) {
+            continue; // failed stage: omit rather than poison the gate
         }
-        out << "}}\n";
-        std::fprintf(stderr,
-                     "# results -> BENCH_table4_ablation.json\n");
+        result.dbl(key, hz, "%.6g");
     }
+    result.write();
 
     std::printf("\npaper: open-loop within ~2.9x of the native clock; "
                 "each earlier stage is communication-bound. The JIT row "

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_result.h"
 #include "fpga/compile.h"
 #include "hypervisor/fabric_manager.h"
 #include "runtime/runtime.h"
@@ -326,8 +327,8 @@ main()
     std::printf("%-8s %18s %14s %16s %18s\n", "tenants",
                 "aggregate ticks/s", "total ticks", "min..max /tenant",
                 "residency f/j/i");
-    std::string results_body;
-    std::string sidecar_body;
+    cascade::JsonWriter fleets(cascade::JsonWriter::Root::Array);
+    cascade::JsonWriter sidecar;
     double baseline_rate = 0; // single-tenant ticks/s, the 1-> M yardstick
     double aggregate_1 = 0;
     double aggregate_4 = 0;
@@ -337,24 +338,9 @@ main()
         const FleetResult r = run_fleet(m, &fleet_svc);
         double rate_min = r.tenants.empty() ? 0 : r.tenants[0].rate;
         double rate_max = rate_min;
-        std::string per_tenant;
-        for (size_t i = 0; i < r.tenants.size(); ++i) {
-            const TenantSample& s = r.tenants[i];
+        for (const TenantSample& s : r.tenants) {
             rate_min = std::min(rate_min, s.rate);
             rate_max = std::max(rate_max, s.rate);
-            char t[256];
-            std::snprintf(t, sizeof t,
-                          "{\"tenant\":%zu,\"ticks\":%llu,"
-                          "\"ticks_per_s\":%.1f,\"wall_s\":%.4f,"
-                          "\"cpu_s\":%.4f,\"lock_wait_s\":%.6f,"
-                          "\"location\":\"%s\"}",
-                          i, static_cast<unsigned long long>(s.ticks),
-                          s.rate, s.wall_s, s.cpu_s, s.lock_wait_s,
-                          s.location.c_str());
-            if (!per_tenant.empty()) {
-                per_tenant += ',';
-            }
-            per_tenant += t;
         }
         // Per-tier residency at the end of the measured window: fabric
         // (Hardware/HardwareForwarded/Native LE slices), the JIT rung
@@ -375,26 +361,31 @@ main()
                     r.aggregate_ticks_per_s,
                     static_cast<unsigned long long>(r.total_ticks),
                     rate_min, rate_max, res_fabric, res_jit, res_interp);
-        char row[256];
-        std::snprintf(row, sizeof row,
-                      "{\"tenants\":%d,\"aggregate_ticks_per_s\":%.1f,"
-                      "\"total_ticks\":%llu,\"residency\":{\"fabric\":%d,"
-                      "\"jit\":%d,\"interpreter\":%d},\"per_tenant\":[",
-                      m, r.aggregate_ticks_per_s,
-                      static_cast<unsigned long long>(r.total_ticks),
-                      res_fabric, res_jit, res_interp);
-        if (!results_body.empty()) {
-            results_body += ',';
+        fleets.begin_object()
+            .num_signed("tenants", m)
+            .dbl("aggregate_ticks_per_s", r.aggregate_ticks_per_s, "%.1f")
+            .num("total_ticks", r.total_ticks)
+            .begin_object("residency")
+            .num_signed("fabric", res_fabric)
+            .num_signed("jit", res_jit)
+            .num_signed("interpreter", res_interp)
+            .end_object()
+            .begin_array("per_tenant");
+        for (size_t i = 0; i < r.tenants.size(); ++i) {
+            const TenantSample& s = r.tenants[i];
+            fleets.begin_object()
+                .num("tenant", i)
+                .num("ticks", s.ticks)
+                .dbl("ticks_per_s", s.rate, "%.1f")
+                .dbl("wall_s", s.wall_s, "%.4f")
+                .dbl("cpu_s", s.cpu_s, "%.4f")
+                .dbl("lock_wait_s", s.lock_wait_s, "%.6f")
+                .str("location", s.location)
+                .end_object();
         }
-        results_body += row;
-        results_body += per_tenant;
-        results_body += "]}";
+        fleets.end_array().end_object();
         if (!r.tenant0_stats.empty()) {
-            if (!sidecar_body.empty()) {
-                sidecar_body += ',';
-            }
-            sidecar_body += "\"tenants_" + std::to_string(m) +
-                            "\":" + r.tenant0_stats;
+            sidecar.raw("tenants_" + std::to_string(m), r.tenant0_stats);
         }
         if (m == 1) {
             baseline_rate = r.aggregate_ticks_per_s;
@@ -416,8 +407,18 @@ main()
     std::printf("1->4 tenants: aggregate %.0f -> %.0f ticks/s "
                 "(%.0f%% drop), %.3fs lost, %.0f%% attributed:\n",
                 aggregate_1, aggregate_4, gap_pct, gap.lost_s, gap.pct);
-    std::string sites_json;
-    std::string dominant_json;
+    // The gap attribution: in the result file and, as a sibling of the
+    // contention report, in the contention sidecar.
+    cascade::JsonWriter attribution;
+    attribution.num("from_tenants", 1)
+        .num("to_tenants", 4)
+        .dbl("aggregate_ticks_per_s_1", aggregate_1, "%.1f")
+        .dbl("aggregate_ticks_per_s_4", aggregate_4, "%.1f")
+        .dbl("gap_pct", gap_pct, "%.1f")
+        .dbl("lost_seconds", gap.lost_s, "%.6f")
+        .dbl("lost_throughput_attributed_pct", gap.pct, "%.1f");
+    cascade::JsonWriter sites(cascade::JsonWriter::Root::Array);
+    cascade::JsonWriter dominant(cascade::JsonWriter::Root::Array);
     double cum_s = 0;
     for (const GapSite& s : gap.sites) {
         if (s.seconds <= 0) {
@@ -427,56 +428,35 @@ main()
             gap.lost_s > 0 ? 100.0 * s.seconds / gap.lost_s : 0;
         std::printf("  %-24s %-6s %8.3fs %5.1f%%\n", s.name.c_str(),
                     s.kind.c_str(), s.seconds, share);
-        char site_row[160];
-        std::snprintf(site_row, sizeof site_row,
-                      "{\"site\":\"%s\",\"kind\":\"%s\","
-                      "\"seconds\":%.6f,\"share_pct\":%.1f}",
-                      s.name.c_str(), s.kind.c_str(), s.seconds, share);
-        if (!sites_json.empty()) {
-            sites_json += ',';
-        }
-        sites_json += site_row;
+        sites.begin_object()
+            .str("site", s.name)
+            .str("kind", s.kind)
+            .dbl("seconds", s.seconds, "%.6f")
+            .dbl("share_pct", share, "%.1f")
+            .end_object();
         // Dominant = the minimal ranked prefix covering 90% of what was
         // attributed.
         if (gap.attributed_s > 0 && cum_s < 0.9 * gap.attributed_s) {
-            if (!dominant_json.empty()) {
-                dominant_json += ',';
-            }
-            dominant_json += '"' + s.name + '"';
+            dominant.str(s.name);
         }
         cum_s += s.seconds;
     }
-    char attr_head[256];
-    std::snprintf(attr_head, sizeof attr_head,
-                  "\"attribution\":{\"from_tenants\":1,\"to_tenants\":4,"
-                  "\"aggregate_ticks_per_s_1\":%.1f,"
-                  "\"aggregate_ticks_per_s_4\":%.1f,\"gap_pct\":%.1f,"
-                  "\"lost_seconds\":%.6f,"
-                  "\"lost_throughput_attributed_pct\":%.1f,",
-                  aggregate_1, aggregate_4, gap_pct, gap.lost_s, gap.pct);
-    const std::string attribution = std::string(attr_head) +
-                                    "\"dominant_sites\":[" + dominant_json +
-                                    "],\"attributed_sites\":[" +
-                                    sites_json + "]}";
+    attribution.raw("dominant_sites", dominant.build())
+        .raw("attributed_sites", sites.build());
 
+    cascade::bench::BenchResult result("table5_multi_tenant");
+    result.begin_object("compile")
+        .dbl("cold_seconds", cold_s, "%.6f")
+        .dbl("warm_seconds", warm_s, "%.6f")
+        .boolean("warm_cache_hit", warm_hit)
+        .dbl("speedup", speedup, "%.1f")
+        .end_object()
+        .raw("attribution", attribution.build())
+        .raw("fleets", fleets.build());
+    result.write();
     {
-        std::ofstream out("BENCH_table5_multi_tenant.json");
-        char compile_row[256];
-        std::snprintf(compile_row, sizeof compile_row,
-                      "\"compile\":{\"cold_seconds\":%.6f,"
-                      "\"warm_seconds\":%.6f,\"warm_cache_hit\":%s,"
-                      "\"speedup\":%.1f}",
-                      cold_s, warm_s, warm_hit ? "true" : "false",
-                      speedup);
-        out << "{\"schema\":\"cascade.bench.v1\","
-            << "\"bench\":\"table5_multi_tenant\"," << compile_row << ','
-            << attribution << ",\"fleets\":[" << results_body << "]}\n";
-        std::fprintf(stderr,
-                     "# results -> BENCH_table5_multi_tenant.json\n");
-    }
-    {
-        std::ofstream sidecar("table5_multi_tenant.stats.json");
-        sidecar << '{' << sidecar_body << "}\n";
+        std::ofstream("table5_multi_tenant.stats.json")
+            << sidecar.build() << '\n';
         std::fprintf(stderr,
                      "# stats sidecar -> table5_multi_tenant.stats.json\n");
     }
@@ -484,13 +464,15 @@ main()
         // The cascade.contention.v1 report captured right after the
         // 4-tenant fleet, with the gap attribution spliced in as a
         // sibling key (schema stays v1: additive).
-        std::ofstream sidecar("table5_multi_tenant.contention.json");
+        std::string doc = cascade::JsonWriter()
+                              .raw("attribution", attribution.build())
+                              .build();
         if (contention_4.size() > 1 && contention_4.front() == '{') {
-            sidecar << '{' << attribution << ','
-                    << contention_4.substr(1) << "\n";
-        } else {
-            sidecar << '{' << attribution << "}\n";
+            doc.pop_back();
+            doc += ',';
+            doc += contention_4.substr(1);
         }
+        std::ofstream("table5_multi_tenant.contention.json") << doc << '\n';
         std::fprintf(
             stderr,
             "# contention sidecar -> table5_multi_tenant.contention.json\n");

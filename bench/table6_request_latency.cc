@@ -27,12 +27,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_result.h"
 #include "hypervisor/fabric_manager.h"
 #include "runtime/runtime.h"
 #include "service/compile_service.h"
@@ -123,16 +123,15 @@ percentile(std::vector<double> v, double p)
     return v[std::min(at, v.size() - 1)];
 }
 
-std::string
-class_json(const char* name, const std::vector<double>& seconds)
+void
+add_class(cascade::JsonWriter& w, const char* name,
+          const std::vector<double>& seconds)
 {
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "\"%s\":{\"samples\":%zu,\"p50_s\":%.6f,"
-                  "\"p99_s\":%.6f}",
-                  name, seconds.size(), percentile(seconds, 0.5),
-                  percentile(seconds, 0.99));
-    return buf;
+    w.begin_object(name)
+        .num("samples", seconds.size())
+        .dbl("p50_s", percentile(seconds, 0.5), "%.6f")
+        .dbl("p99_s", percentile(seconds, 0.99), "%.6f")
+        .end_object();
 }
 
 } // namespace
@@ -223,27 +222,16 @@ main()
                 percentile(shared_s, 0.5), percentile(shared_s, 0.99),
                 kSharedTenants);
 
-    std::string segments_json;
+    cascade::bench::BenchResult result("table6_request_latency");
+    add_class(result, "cold", cold_s);
+    add_class(result, "warm", warm_s);
+    add_class(result, "shared", shared_s);
+    result.begin_object("cold_segments_mean");
     for (const auto& [name, us] : cold_segment_us) {
-        char row[96];
-        std::snprintf(row, sizeof row, "\"%s_seconds\":%.6f",
-                      name.c_str(), us * 1e-6 / kColdRuns);
-        if (!segments_json.empty()) {
-            segments_json += ',';
-        }
-        segments_json += row;
+        result.dbl(name + "_seconds", us * 1e-6 / kColdRuns, "%.6f");
         std::printf("  cold mean %-10s %.4fs\n", name.c_str(),
                     us * 1e-6 / kColdRuns);
     }
-
-    std::ofstream out("BENCH_table6_request_latency.json");
-    out << "{\"schema\":\"cascade.bench.v1\","
-        << "\"bench\":\"table6_request_latency\","
-        << class_json("cold", cold_s) << ','
-        << class_json("warm", warm_s) << ','
-        << class_json("shared", shared_s)
-        << ",\"cold_segments_mean\":{" << segments_json << "}}\n";
-    std::fprintf(stderr,
-                 "# results -> BENCH_table6_request_latency.json\n");
+    result.write();
     return 0;
 }

@@ -207,8 +207,8 @@ main()
             if (line.empty()) {
                 continue;
             }
-            cascade::telemetry::JsonValue req;
-            if (!cascade::telemetry::parse_json(line, &req, &err) ||
+            cascade::JsonValue req;
+            if (!cascade::parse_json(line, &req, &err) ||
                 req.get_u64("id") == 0 ||
                 line.find("\"segments\":[") == std::string::npos) {
                 requests_ok = false;
@@ -231,8 +231,8 @@ main()
     bool seqs_increase = true;
     std::string ndjson;
     for (const std::string& line : lines) {
-        cascade::telemetry::JsonValue ev;
-        if (!cascade::telemetry::parse_json(line, &ev, &err)) {
+        cascade::JsonValue ev;
+        if (!cascade::parse_json(line, &ev, &err)) {
             seqs_increase = false;
             break;
         }

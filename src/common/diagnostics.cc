@@ -106,11 +106,13 @@ Logger::write(LogLevel level, const char* component,
     std::lock_guard<std::mutex> lock(mutex_);
     std::FILE* out = stream_ != nullptr ? stream_ : stderr;
     if (json_) {
-        std::fprintf(out,
-                     "{\"log\":\"cascade\",\"level\":\"%s\","
-                     "\"component\":\"%s\",\"msg\":\"%s\"}\n",
-                     log_level_name(level), component,
-                     json_escape(message).c_str());
+        const std::string line = JsonWriter()
+                                     .str("log", "cascade")
+                                     .str("level", log_level_name(level))
+                                     .str("component", component)
+                                     .str("msg", message)
+                                     .build();
+        std::fprintf(out, "%s\n", line.c_str());
     } else {
         std::fprintf(out, "cascade[%s] %s: %s\n", log_level_name(level),
                      component, message.c_str());

@@ -501,7 +501,7 @@ Repl::feed(const std::string& text)
     // submitted; this records the raw interaction for the black box).
     runtime_->journal().record(
         "repl.input",
-        telemetry::JsonWriter().str("text", text).build());
+        JsonWriter().str("text", text).build());
     // Meta-commands are line-oriented and only recognized when no Verilog
     // is being accumulated (':' cannot start a Verilog item).
     if (buffer_.find_first_not_of(" \t\r\n") == std::string::npos) {

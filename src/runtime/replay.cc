@@ -104,9 +104,9 @@ load_journal(const std::string& path, ReplayLog* out, std::string* err)
         if (line.empty()) {
             continue;
         }
-        telemetry::JsonValue v;
+        JsonValue v;
         std::string perr;
-        if (!telemetry::parse_json(line, &v, &perr)) {
+        if (!parse_json(line, &v, &perr)) {
             if (err != nullptr) {
                 *err = path + ":" + std::to_string(lineno) + ": " + perr;
             }
@@ -119,7 +119,7 @@ load_journal(const std::string& path, ReplayLog* out, std::string* err)
                 }
                 return false;
             }
-            const telemetry::JsonValue* h = v.find("header");
+            const JsonValue* h = v.find("header");
             if (h != nullptr) {
                 out->header = *h;
             }
@@ -130,7 +130,7 @@ load_journal(const std::string& path, ReplayLog* out, std::string* err)
         ev.seq = v.get_u64("seq");
         ev.vt = v.get_u64("vt");
         ev.type = v.get_str("type");
-        const telemetry::JsonValue* d = v.find("data");
+        const JsonValue* d = v.find("data");
         if (d != nullptr) {
             ev.data = *d;
         }
@@ -152,7 +152,7 @@ load_journal(const std::string& path, ReplayLog* out, std::string* err)
 }
 
 Runtime::Options
-options_from_header(const telemetry::JsonValue& header)
+options_from_header(const JsonValue& header)
 {
     Runtime::Options o;
     o.enable_inlining =
@@ -266,8 +266,10 @@ replay_into(Runtime* rt, const ReplayLog& log, const ReplayOptions& opts)
             const BitVector led = rt->led_state();
             if (led.to_uint64() != ev.data.get_u64("value")) {
                 diverge(&report, ev,
-                        t + " {\"value\":" +
-                            std::to_string(led.to_uint64()) + "}");
+                        t + ' ' +
+                            JsonWriter()
+                                .num("value", led.to_uint64())
+                                .build());
             }
         } else if (t == "api.vcd") {
             rt->vcd_open(ev.data.get_str("path"));

@@ -63,13 +63,13 @@ struct ReplayLogEvent {
     uint64_t seq = 0;
     uint64_t vt = 0;
     std::string type;
-    telemetry::JsonValue data;
+    JsonValue data;
     std::string data_raw;
 };
 
 /// A loaded journal: the options header plus the event sequence.
 struct ReplayLog {
-    telemetry::JsonValue header;
+    JsonValue header;
     std::vector<ReplayLogEvent> events;
 };
 
@@ -80,7 +80,7 @@ bool load_journal(const std::string& path, ReplayLog* out,
 
 /// Reconstructs Runtime options from a journal header (fields absent in
 /// the header keep their defaults, so old journals stay loadable).
-Runtime::Options options_from_header(const telemetry::JsonValue& header);
+Runtime::Options options_from_header(const JsonValue& header);
 
 struct ReplayOptions {
     /// When nonempty, the replayed session records itself to this path —

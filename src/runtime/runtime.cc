@@ -61,7 +61,7 @@ wall_seconds()
 std::string
 interrupt_payload(const char* kind, const std::string& text)
 {
-    telemetry::JsonWriter w;
+    JsonWriter w;
     w.str("kind", kind);
     if (text.size() <= 200) {
         w.str("text", text);
@@ -441,12 +441,12 @@ Runtime::Runtime(Options options, service::CompileService* service,
     // live runtime.
     blackbox_id_ = telemetry::BlackBox::instance().add_source(
         "runtime", [this] {
-            std::string out = "{\"events\":" + journal_.ring_json();
-            out += ",\"stats\":" + stats_json();
-            out += ",\"profile\":" + profile_json();
-            out += ",\"timeseries\":" + timeseries_.json();
-            out += '}';
-            return out;
+            return JsonWriter()
+                .raw("events", journal_.ring_json())
+                .raw("stats", stats_json())
+                .raw("profile", profile_json())
+                .raw("timeseries", timeseries_.json())
+                .build();
         });
     telemetry::BlackBox::instance().install_handlers();
     // Load the standard library and implicitly instantiate the Clock
@@ -566,7 +566,7 @@ Runtime::eval(std::string_view source, std::string* errors)
         }
         m_.evals_rejected->inc();
         const uint64_t id =
-            journal_.record("eval", telemetry::JsonWriter()
+            journal_.record("eval", JsonWriter()
                                         .boolean("ok", false)
                                         .num("version", version_)
                                         .str("src", source)
@@ -616,7 +616,7 @@ Runtime::eval(std::string_view source, std::string* errors)
         m_.evals_accepted->inc();
     }
     const uint64_t id =
-        journal_.record("eval", telemetry::JsonWriter()
+        journal_.record("eval", JsonWriter()
                                     .boolean("ok", true)
                                     .num("version", version_)
                                     .str("src", source)
@@ -809,7 +809,7 @@ Runtime::rebuild_program(std::string* errors, const char* reason)
 
     settle_evaluations();
 
-    journal_.record("rebuild", telemetry::JsonWriter()
+    journal_.record("rebuild", JsonWriter()
                                    .num("version", version_)
                                    .str("reason", reason)
                                    .num("slots", slots_.size())
@@ -845,7 +845,7 @@ Runtime::flush_interrupts()
     uint64_t flush_id = 0;
     if (!interrupt_queue_.empty()) {
         flush_id = journal_.record("interrupt.flush",
-                                   telemetry::JsonWriter()
+                                   JsonWriter()
                                        .num("count",
                                             interrupt_queue_.size())
                                        .build());
@@ -1065,7 +1065,7 @@ Runtime::step_body()
         for (Slot& slot : slots_) {
             slot.engine->end();
         }
-        journal_.record("finish", telemetry::JsonWriter()
+        journal_.record("finish", JsonWriter()
                                       .num("iteration", iterations_)
                                       .build());
         telemetry::Tracer::global().instant("runtime.finish",
@@ -1153,7 +1153,7 @@ Runtime::run_for_ticks(uint64_t ticks)
     bind_thread_tenant();
     flush_api_steps();
     journal_.record("api.run_ticks",
-                    telemetry::JsonWriter().num("n", ticks).build());
+                    JsonWriter().num("n", ticks).build());
     const uint64_t target = virtual_ticks() + ticks;
     uint64_t guard = 0;
     while (virtual_ticks() < target && !finished_) {
@@ -1176,7 +1176,7 @@ Runtime::run(uint64_t max_iterations)
     bind_thread_tenant();
     flush_api_steps();
     journal_.record("api.run",
-                    telemetry::JsonWriter().num("n", max_iterations).build());
+                    JsonWriter().num("n", max_iterations).build());
     for (uint64_t i = 0; i < max_iterations && !finished_; ++i) {
         if (debug_halted_.load(std::memory_order_relaxed)) {
             break; // halted at a breakpoint: the virtual clock is paused
@@ -1237,7 +1237,7 @@ Runtime::wait_for_hardware(double timeout_s)
     }
     const bool ok = fabric_resident();
     journal_.record("api.wait_hw",
-                    telemetry::JsonWriter().boolean("ok", ok).build());
+                    JsonWriter().boolean("ok", ok).build());
     return ok;
 }
 
@@ -1257,14 +1257,14 @@ Runtime::flush_api_steps()
     const uint64_t n = pending_api_steps_;
     pending_api_steps_ = 0;
     journal_.record("api.step",
-                    telemetry::JsonWriter().num("n", n).build());
+                    JsonWriter().num("n", n).build());
 }
 
 void
 Runtime::log_event(LogLevel level, const char* component,
                    const std::string& message)
 {
-    journal_.record("log", telemetry::JsonWriter()
+    journal_.record("log", JsonWriter()
                                .str("level", log_level_name(level))
                                .str("component", component)
                                .str("msg", message)
@@ -1280,7 +1280,7 @@ Runtime::journal_header_json() const
     // Every option that shapes execution, so a replayer can reconstruct an
     // identically-configured Runtime from the journal alone. Doubles are
     // printed round-trip exact (%.17g) by JsonWriter::dbl.
-    return telemetry::JsonWriter()
+    return JsonWriter()
         .boolean("enable_inlining", options_.enable_inlining)
         .boolean("enable_hardware", options_.enable_hardware)
         .boolean("enable_jit", options_.enable_jit)
@@ -1374,7 +1374,7 @@ Runtime::on_monitor(const std::string& key, const std::string& text)
     m_.monitor_lines->inc();
     journal_.record(
         "monitor.line",
-        telemetry::JsonWriter()
+        JsonWriter()
             .str("key_digest", telemetry::digest_hex(key))
             .str("text", text)
             .build());
@@ -1433,7 +1433,7 @@ Runtime::vcd_open(const std::string& path, std::string* err)
         return false;
     }
     journal_.record("api.vcd",
-                    telemetry::JsonWriter().str("path", path).build());
+                    JsonWriter().str("path", path).build());
     vcd_requested_path_ = path;
     vcd_bytes_seen_ = 0; // the writer's byte counter restarted at zero
     vcd_capture_ = true;
@@ -1455,7 +1455,7 @@ Runtime::close_vcd()
         // Digest the closed waveform: identical stimulus must produce an
         // identical file, so replay compares this event byte-for-byte.
         journal_.record("vcd.digest",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .str("path", path)
                             .num("bytes", vcd_.bytes_written())
                             .str("digest", file_digest_hex(path))
@@ -1507,7 +1507,7 @@ Runtime::add_probe(const std::string& name, std::string* err)
     }
     flush_api_steps();
     journal_.record("api.probe",
-                    telemetry::JsonWriter().str("name", name).build());
+                    JsonWriter().str("name", name).build());
     return true;
 }
 
@@ -1522,7 +1522,7 @@ Runtime::remove_probe(const std::string& name)
     probe_names_.erase(it);
     flush_api_steps();
     journal_.record("api.unprobe",
-                    telemetry::JsonWriter().str("name", name).build());
+                    JsonWriter().str("name", name).build());
     return true;
 }
 
@@ -1724,7 +1724,7 @@ Runtime::debug_break(const std::string& signal, const std::string& op,
     }
     flush_api_steps();
     const uint64_t seq =
-        journal_.record("api.debug_break", telemetry::JsonWriter()
+        journal_.record("api.debug_break", JsonWriter()
                                                .str("signal", signal)
                                                .str("op", op)
                                                .str("value", value)
@@ -1762,7 +1762,7 @@ Runtime::debug_watch(const std::string& signal, std::string* err)
     }
     flush_api_steps();
     const uint64_t seq =
-        journal_.record("api.debug_watch", telemetry::JsonWriter()
+        journal_.record("api.debug_watch", JsonWriter()
                                                .str("signal", signal)
                                                .build());
     const uint64_t id = debugger_.add_watch(signal);
@@ -1789,7 +1789,7 @@ Runtime::debug_delete(uint64_t id)
     bind_thread_tenant();
     flush_api_steps();
     journal_.record("api.debug_delete",
-                    telemetry::JsonWriter().num("id", id).build());
+                    JsonWriter().num("id", id).build());
     if (!debugger_.remove(id)) {
         return false;
     }
@@ -1820,9 +1820,9 @@ Runtime::debug_step(uint64_t cycles, std::string* err)
     }
     flush_api_steps();
     journal_.record("api.debug_step",
-                    telemetry::JsonWriter().num("n", cycles).build());
+                    JsonWriter().num("n", cycles).build());
     m_.debug_steps->inc(cycles);
-    journal_.record("debug.step", telemetry::JsonWriter()
+    journal_.record("debug.step", JsonWriter()
                                       .num("n", cycles)
                                       .num("iteration", iterations_)
                                       .num("tick", virtual_ticks())
@@ -1849,7 +1849,7 @@ Runtime::debug_continue()
         return false;
     }
     flush_api_steps();
-    journal_.record("api.debug_continue", telemetry::JsonWriter()
+    journal_.record("api.debug_continue", JsonWriter()
                                               .num("iteration", iterations_)
                                               .build());
     debug_halted_.store(false, std::memory_order_relaxed);
@@ -1865,7 +1865,7 @@ Runtime::debug_continue()
         tracer.record_complete("debug.halt", debug_halt_start_us_,
                                now_us - debug_halt_start_us_, 0);
     }
-    journal_.record("debug.resume", telemetry::JsonWriter()
+    journal_.record("debug.resume", JsonWriter()
                                         .num("iteration", iterations_)
                                         .num("tick", virtual_ticks())
                                         .build());
@@ -1883,7 +1883,7 @@ Runtime::debug_peek(const std::string& signal, std::string* err)
     bind_thread_tenant();
     flush_api_steps();
     journal_.record("api.debug_peek",
-                    telemetry::JsonWriter().str("signal", signal).build());
+                    JsonWriter().str("signal", signal).build());
     std::map<std::string, BitVector> cache;
     const BitVector* v = debug_read(signal, &cache);
     if (v == nullptr) {
@@ -1896,7 +1896,7 @@ Runtime::debug_peek(const std::string& signal, std::string* err)
     // Compared on replay: a replayed peek cross-checks the recorded
     // value, so state divergence surfaces at the first peek.
     journal_.record("debug.peek",
-                    telemetry::JsonWriter()
+                    JsonWriter()
                         .str("signal", signal)
                         .str("value", "0x" + v->to_hex_string())
                         .num("width", v->width())
@@ -1955,7 +1955,7 @@ Runtime::handle_debug_fire(const Debugger::Fire& fire, bool hw_fire)
     // Replay compares this event: a fire is pinned by its recorded
     // iteration, exactly like an eviction. The payload stays value-free
     // except the signal identity (values are cross-checked by peeks).
-    journal_.record("debug.fire", telemetry::JsonWriter()
+    journal_.record("debug.fire", JsonWriter()
                                       .num("id", fire.id)
                                       .str("kind", kind)
                                       .str("signal", fire.signal)
@@ -2118,7 +2118,7 @@ Runtime::dump_debug_window(bool hw_fire)
     // Info-class provenance (not compared: the digest covers wall-free
     // content, but the event exists only on sessions that dump).
     journal_.record("debug.window",
-                    telemetry::JsonWriter()
+                    JsonWriter()
                         .str("path", debug_window_path_)
                         .num("samples", samples)
                         .str("source", use_hw_ring ? "hw" : "sw")
@@ -2241,7 +2241,7 @@ Runtime::rearm_hardware_debug(std::string* err)
     hw->set_profiling(options_.profiling);
     hw_debug_armed_.store(!triggers.empty(), std::memory_order_relaxed);
     journal_.record("debug.rearm",
-                    telemetry::JsonWriter()
+                    JsonWriter()
                         .num("triggers", triggers.size())
                         .num("probes", ring_probes.size())
                         .boolean("armed", !triggers.empty())
@@ -2295,34 +2295,26 @@ Runtime::debug_json() const
     // table is snapshotted under the debugger's lock, the rest is
     // atomics).
     const auto points = debugger_.points();
-    telemetry::JsonWriter w;
+    JsonWriter w;
     w.str("schema", "cascade.debug.v1");
     w.boolean("halted", debug_halted_.load(std::memory_order_relaxed));
     w.boolean("hw_armed",
               hw_debug_armed_.load(std::memory_order_relaxed));
     w.num("fires", debugger_.total_fires());
     w.num("points", points.size());
-    std::string items = "[";
-    bool first = true;
+    w.begin_array("table");
     for (const auto& p : points) {
-        telemetry::JsonWriter pw;
-        pw.num("id", p.id);
-        pw.str("kind", p.kind == Debugger::Kind::Watch ? "watch"
-                                                       : "break");
-        pw.str("signal", p.signal);
+        w.begin_object();
+        w.num("id", p.id);
+        w.str("kind", p.kind == Debugger::Kind::Watch ? "watch" : "break");
+        w.str("signal", p.signal);
         if (p.kind == Debugger::Kind::Break) {
-            pw.str("op", p.op);
-            pw.str("value", p.value.to_dec_string());
+            w.str("op", p.op);
+            w.str("value", p.value.to_dec_string());
         }
-        pw.num("hits", p.hits);
-        if (!first) {
-            items += ",";
-        }
-        first = false;
-        items += pw.build();
+        w.num("hits", p.hits);
+        w.end_object();
     }
-    items += "]";
-    w.raw("table", items);
     return w.build();
 }
 
@@ -2375,7 +2367,7 @@ Runtime::set_pad(uint64_t buttons)
 {
     flush_api_steps();
     journal_.record("api.set_pad",
-                    telemetry::JsonWriter().num("value", buttons).build());
+                    JsonWriter().num("value", buttons).build());
     pad_value_ = buttons;
     for (const std::string& net : pads_) {
         const int n = find_net(net);
@@ -2429,7 +2421,7 @@ Runtime::led_state()
             break;
         }
     }
-    journal_.record("api.led", telemetry::JsonWriter()
+    journal_.record("api.led", JsonWriter()
                                    .num("width", out.width())
                                    .num("value", out.to_uint64())
                                    .build());
@@ -2447,7 +2439,7 @@ Runtime::fifo_push(const std::vector<uint8_t>& bytes)
         std::snprintf(buf, sizeof(buf), "%02x", b);
         hex += buf;
     }
-    journal_.record("api.fifo_push", telemetry::JsonWriter()
+    journal_.record("api.fifo_push", JsonWriter()
                                          .num("count", bytes.size())
                                          .str("hex", hex)
                                          .build());
@@ -2653,7 +2645,7 @@ Runtime::launch_compile()
     }
     m_.compiles_launched->inc();
     const uint64_t request =
-        journal_.record("compile.launch", telemetry::JsonWriter()
+        journal_.record("compile.launch", JsonWriter()
                                               .num("version", version_)
                                               .num("seed", seed)
                                               .build());
@@ -2770,7 +2762,7 @@ Runtime::poll_compiles()
             // journal byte-identically.
             if (recorded_ == nullptr) {
                 journal_.record("compile.stale",
-                                telemetry::JsonWriter()
+                                JsonWriter()
                                     .num("version", done.version)
                                     .num("req", done.request)
                                     .build());
@@ -2812,7 +2804,7 @@ Runtime::maybe_admit_and_act(CompileOutcome outcome)
         // when the fabric changes. Info-class journal event — replay
         // runs on an exclusive device where the denial never recurs.
         journal_.record("hypervisor.defer",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("version", outcome.version)
                             .num("req", outcome.request)
                             .str("reason", adm.error)
@@ -2871,12 +2863,12 @@ Runtime::act_on_compile(CompileOutcome outcome,
     // a wall-clock artifact (who compiled first), so it must stay out of
     // the compared compile.done payload.
     journal_.record("compile.cache",
-                    telemetry::JsonWriter()
+                    JsonWriter()
                         .num("version", outcome.version)
                         .boolean("hit", r.cache_hit)
                         .build());
     journal_.record("compile.done",
-                    telemetry::JsonWriter()
+                    JsonWriter()
                         .num("version", outcome.version)
                         .boolean("ok", outcome.result.ok)
                         .num("seed", r.seed)
@@ -2972,7 +2964,7 @@ Runtime::adopt_hardware(CompileOutcome outcome,
                                    "rejected: " + error + "\n");
         m_.compiles_rejected->inc();
         journal_.record("compile.rejected",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("version", outcome.version)
                             .num("iteration", iterations_)
                             .str("error", error)
@@ -3012,7 +3004,7 @@ Runtime::adopt_fabric(CompileOutcome outcome,
         // Info-class: replay infers the same upgrade from the compared
         // adopt event that follows.
         journal_.record("jit.discard",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("version", outcome.version)
                             .str("reason", "fabric")
                             .build());
@@ -3226,14 +3218,14 @@ Runtime::adopt_fabric(CompileOutcome outcome,
         // codegen over the synthesized netlist), unlike build timing or
         // cache residency, which stay in the info-class jit.cache event.
         journal_.record("jit.adopt",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("version", outcome.version)
                             .num("iteration", iterations_)
                             .str("digest", jit_digest)
                             .build());
     } else {
         journal_.record("adopt",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("version", outcome.version)
                             .num("iteration", iterations_)
                             .str("location",
@@ -3245,7 +3237,7 @@ Runtime::adopt_fabric(CompileOutcome outcome,
         // Info-class slot record: where on the shared fabric this tenant
         // landed (first-fit, so placement depends on neighbors).
         journal_.record("hypervisor.admit",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("version", outcome.version)
                             .num("le_start", admission->le_start)
                             .num("le_count", admission->le_count)
@@ -3309,7 +3301,7 @@ Runtime::launch_jit(std::shared_ptr<const verilog::ElaboratedModule> em,
     // overwrites the job and poll_jit() discards the orphaned result as
     // stale by version when its future eventually resolves.
     m_.jit_launched->inc();
-    journal_.record("jit.launch", telemetry::JsonWriter()
+    journal_.record("jit.launch", JsonWriter()
                                       .num("version", outcome.version)
                                       .build());
     telemetry::Tracer::global().instant("jit.launch", outcome.version);
@@ -3372,7 +3364,7 @@ Runtime::poll_jit()
         // whether an orphaned build surfaces before the queue clears is
         // a wall-clock race, exactly like compile.stale.
         journal_.record("jit.discard",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("version", job.version)
                             .str("reason", "stale")
                             .build());
@@ -3393,7 +3385,7 @@ Runtime::poll_jit()
         // it contains machine-dependent paths.
         m_.jit_unavailable->inc();
         journal_.record("jit.unavailable",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("version", job.version)
                             .num("iteration", iterations_)
                             .build());
@@ -3406,7 +3398,7 @@ Runtime::poll_jit()
     }
     // Cache attribution is info-class for the same reason compile.cache
     // is: who built the kernel first is a wall-clock artifact.
-    journal_.record("jit.cache", telemetry::JsonWriter()
+    journal_.record("jit.cache", JsonWriter()
                                      .num("version", job.version)
                                      .boolean("hit", build.cache_hit)
                                      .build());
@@ -3450,7 +3442,7 @@ Runtime::evict_to_software()
     // profile continuity — carries across unchanged.
     const uint64_t request =
         journal_.record("hypervisor.evict",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .num("iteration", iterations_)
                             .num("version", version_)
                             .build());
@@ -3509,7 +3501,7 @@ Runtime::finish_request(uint64_t id, const char* kind, uint64_t version,
     // journal. The payload is deliberately wall-clock-free (ids are
     // journal seqs, durations stay in the tracker), so re-recorded
     // replay journals remain byte-identical with tracing on.
-    journal_.record("request.done", telemetry::JsonWriter()
+    journal_.record("request.done", JsonWriter()
                                         .num("id", id)
                                         .str("kind", kind)
                                         .num("version", version)
@@ -3575,7 +3567,7 @@ Runtime::run_open_loop()
         // reflects work done, even when a batch ends early on $finish.
         fabric_->note_ticks(tenant_, itrs);
     }
-    journal_.record("openloop.grant", telemetry::JsonWriter()
+    journal_.record("openloop.grant", JsonWriter()
                                           .num("batch", grant)
                                           .num("itrs", itrs)
                                           .build());
@@ -3719,18 +3711,6 @@ Runtime::user_slot()
 // Telemetry snapshots
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::string
-json_double(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return buf;
-}
-
-} // namespace
-
 std::string
 Runtime::stats_json() const
 {
@@ -3747,68 +3727,65 @@ Runtime::stats_json() const
         }
     }
 
-    std::string out = "{\"schema\":\"cascade.stats.v1\"";
-    out += ",\"location\":\"";
-    out += location_name(user_location_);
-    out += "\",\"virtual_ticks\":" + std::to_string(virtual_ticks());
-    out += ",\"timeline_seconds\":" + json_double(timeline_s_);
-    out += ",\"scheduler_iterations\":" + std::to_string(iterations_);
-    out += ",\"finished\":" + std::string(finished_ ? "true" : "false");
-    out += ",\"fifo\":{\"consumed\":" + std::to_string(fifo_consumed_) +
-           ",\"backlog\":" + std::to_string(fifo_queue_.size()) + '}';
-    out += ",\"interpreter\":{\"evaluate_calls\":" +
-           std::to_string(interp_evals) +
-           ",\"update_calls\":" + std::to_string(interp_updates) +
-           ",\"process_executions\":" + std::to_string(interp_processes) +
-           '}';
+    // Seconds, rates and clocks print with %.9g.
+    const char* const g9 = "%.9g";
+    JsonWriter w;
+    w.str("schema", "cascade.stats.v1")
+        .str("location", location_name(user_location_))
+        .num("virtual_ticks", virtual_ticks())
+        .dbl("timeline_seconds", timeline_s_, g9)
+        .num("scheduler_iterations", iterations_)
+        .boolean("finished", finished_)
+        .begin_object("fifo")
+        .num("consumed", fifo_consumed_)
+        .num("backlog", fifo_queue_.size())
+        .end_object()
+        .begin_object("interpreter")
+        .num("evaluate_calls", interp_evals)
+        .num("update_calls", interp_updates)
+        .num("process_executions", interp_processes)
+        .end_object();
     if (hw_engine_ != nullptr) {
-        out += ",\"hw_engine\":{\"mmio_transactions\":" +
-               std::to_string(hw_engine_->mmio_transactions()) +
-               ",\"fabric_cycles\":" +
-               std::to_string(hw_engine_->fabric_cycles()) + '}';
+        w.begin_object("hw_engine")
+            .num("mmio_transactions", hw_engine_->mmio_transactions())
+            .num("fabric_cycles", hw_engine_->fabric_cycles())
+            .end_object();
     }
-    out += ",\"compile_service\":{\"cache_hits\":" +
-           std::to_string(compile_service_->cache_hits()) +
-           ",\"cache_misses\":" +
-           std::to_string(compile_service_->cache_misses()) +
-           ",\"cache_hit_rate\":" +
-           json_double(compile_service_->cache_hit_rate()) +
-           ",\"queue_depth\":" +
-           std::to_string(compile_service_->queued_jobs()) + '}';
-    out += ",\"metrics\":" + telemetry_.json();
-    out += ",\"process_metrics\":" + telemetry::Registry::global().json();
+    w.begin_object("compile_service")
+        .num("cache_hits", compile_service_->cache_hits())
+        .num("cache_misses", compile_service_->cache_misses())
+        .dbl("cache_hit_rate", compile_service_->cache_hit_rate(), g9)
+        .num("queue_depth", compile_service_->queued_jobs())
+        .end_object()
+        .raw("metrics", telemetry_.json())
+        .raw("process_metrics", telemetry::Registry::global().json());
     if (last_report_.has_value()) {
         const fpga::CompileReport& r = *last_report_;
-        out += ",\"compile\":{\"synth_seconds\":" +
-               json_double(r.synth_seconds) +
-               ",\"techmap_seconds\":" + json_double(r.techmap_seconds) +
-               ",\"place_seconds\":" + json_double(r.place_seconds) +
-               ",\"timing_seconds\":" + json_double(r.timing_seconds) +
-               ",\"total_seconds\":" + json_double(r.total_seconds) +
-               ",\"area_les\":" + std::to_string(r.area.les) +
-               ",\"area_bram_bits\":" + std::to_string(r.area.bram_bits) +
-               ",\"fmax_mhz\":" + json_double(r.timing.fmax_mhz) +
-               ",\"timing_met\":" +
-               (r.timing.met ? "true" : "false") +
-               ",\"seed\":" + std::to_string(r.seed) +
-               ",\"cache_hit\":" + (r.cache_hit ? "true" : "false") +
-               '}';
+        w.begin_object("compile")
+            .dbl("synth_seconds", r.synth_seconds, g9)
+            .dbl("techmap_seconds", r.techmap_seconds, g9)
+            .dbl("place_seconds", r.place_seconds, g9)
+            .dbl("timing_seconds", r.timing_seconds, g9)
+            .dbl("total_seconds", r.total_seconds, g9)
+            .num("area_les", r.area.les)
+            .num("area_bram_bits", r.area.bram_bits)
+            .dbl("fmax_mhz", r.timing.fmax_mhz, g9)
+            .boolean("timing_met", r.timing.met)
+            .num("seed", r.seed)
+            .boolean("cache_hit", r.cache_hit)
+            .end_object();
     }
-    out += ",\"transitions\":[";
-    for (size_t i = 0; i < transitions_.size(); ++i) {
-        const TransitionRecord& t = transitions_[i];
-        if (i != 0) {
-            out += ',';
-        }
-        out += "{\"version\":" + std::to_string(t.version) +
-               ",\"to\":\"" + location_name(t.to) +
-               "\",\"timeline_seconds\":" +
-               json_double(t.timeline_seconds) +
-               ",\"trace_ts_us\":" + json_double(t.trace_ts_us) +
-               ",\"clock_mhz\":" + json_double(t.clock_mhz) + '}';
+    w.begin_array("transitions");
+    for (const TransitionRecord& t : transitions_) {
+        w.begin_object()
+            .num("version", t.version)
+            .str("to", location_name(t.to))
+            .dbl("timeline_seconds", t.timeline_seconds, g9)
+            .dbl("trace_ts_us", t.trace_ts_us, g9)
+            .dbl("clock_mhz", t.clock_mhz, g9)
+            .end_object();
     }
-    out += "]}";
-    return out;
+    return w.build();
 }
 
 std::string
@@ -3966,7 +3943,7 @@ Runtime::sample_monitor()
     }
     slo_->record_ticks_per_s(now, monitor_tenant_label(), ticks_per_s);
     slo_->tick(now, [this](const telemetry::SloTracker::Objective& o) {
-        telemetry::JsonWriter w;
+        JsonWriter w;
         w.str("objective", o.name);
         if (!o.tenant.empty()) {
             w.str("tenant", o.tenant);
@@ -3996,12 +3973,11 @@ Runtime::start_monitor(uint16_t port, std::string* err)
                    [this] { return slo_json(); });
     server->handle("/healthz", "application/json", [this] {
         const bool breached = slo_breached();
-        std::string out = "{\"status\":\"";
-        out += breached ? "breached" : "ok";
-        out += "\",\"breached\":";
-        out += breached ? "true" : "false";
-        out += "}\n";
-        return out;
+        return JsonWriter()
+                   .str("status", breached ? "breached" : "ok")
+                   .boolean("breached", breached)
+                   .build() +
+               '\n';
     });
     server->handle("/timeseries", "application/json", [this] {
         // While halted at a debugger point the scheduler — and with it
@@ -4284,7 +4260,7 @@ Runtime::set_profiling(bool on)
 {
     flush_api_steps();
     journal_.record("api.profiling",
-                    telemetry::JsonWriter().boolean("on", on).build());
+                    JsonWriter().boolean("on", on).build());
     options_.profiling = on;
     for (Slot& slot : slots_) {
         if (auto* sw = dynamic_cast<SwEngine*>(slot.engine.get())) {
@@ -4424,38 +4400,30 @@ Runtime::profile() const
 std::string
 Runtime::profile_json() const
 {
-    std::string out = "{\"schema\":\"cascade.profile.v1\"";
-    out += ",\"profiling\":";
-    out += options_.profiling ? "true" : "false";
-    out += ",\"location\":\"";
-    out += location_name(user_location_);
-    out += "\",\"virtual_ticks\":" + std::to_string(virtual_ticks());
-    out += ",\"entries\":[";
-    bool first = true;
+    JsonWriter w;
+    w.str("schema", "cascade.profile.v1")
+        .boolean("profiling", options_.profiling)
+        .str("location", location_name(user_location_))
+        .num("virtual_ticks", virtual_ticks())
+        .begin_array("entries");
     for (const ProfileEntry& e : profile()) {
-        if (!first) {
-            out += ',';
+        w.begin_object()
+            .str("instance", e.instance)
+            .str("kind", e.kind)
+            .str("label", e.label)
+            .str("key", e.key)
+            .begin_array("triggers");
+        for (const std::string& trigger : e.triggers) {
+            w.str(trigger);
         }
-        first = false;
-        out += "{\"instance\":\"" + json_escape(e.instance) + '"';
-        out += ",\"kind\":\"" + e.kind + '"';
-        out += ",\"label\":\"" + json_escape(e.label) + '"';
-        out += ",\"key\":\"" + json_escape(e.key) + '"';
-        out += ",\"triggers\":[";
-        for (size_t i = 0; i < e.triggers.size(); ++i) {
-            if (i != 0) {
-                out += ',';
-            }
-            out += '"' + json_escape(e.triggers[i]) + '"';
-        }
-        out += "],\"sw_triggers\":" + std::to_string(e.sw_triggers);
-        out += ",\"hw_triggers\":" + std::to_string(e.hw_triggers);
-        out += ",\"total_triggers\":" + std::to_string(e.total_triggers());
-        out += ",\"eval_ns\":" + std::to_string(e.eval_ns);
-        out += '}';
+        w.end_array()
+            .num("sw_triggers", e.sw_triggers)
+            .num("hw_triggers", e.hw_triggers)
+            .num("total_triggers", e.total_triggers())
+            .num("eval_ns", e.eval_ns)
+            .end_object();
     }
-    out += "]}";
-    return out;
+    return w.build();
 }
 
 std::string

@@ -67,14 +67,6 @@ format_value(double v)
     return buf;
 }
 
-std::string
-format_short(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
-}
-
 } // namespace
 
 std::string
@@ -490,29 +482,18 @@ std::string
 TimeSeries::json() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string out = "{\"schema\":\"cascade.timeseries.v1\",\"capacity\":" +
-                      std::to_string(capacity_) + ",\"series\":{";
-    bool first = true;
+    JsonWriter w;
+    w.str("schema", "cascade.timeseries.v1")
+        .num("capacity", capacity_)
+        .begin_object("series");
     for (const auto& [name, s] : series_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += '"' + json_escape(name) +
-               "\":{\"stride\":" + std::to_string(s.stride) +
-               ",\"points\":[";
-        bool pfirst = true;
+        w.begin_object(name).num("stride", s.stride).begin_array("points");
         for (const Point& p : snapshot_locked(s)) {
-            if (!pfirst) {
-                out += ',';
-            }
-            pfirst = false;
-            out += '[' + format_short(p.t) + ',' + format_short(p.v) + ']';
+            w.begin_array().dbl(p.t, "%.6g").dbl(p.v, "%.6g").end_array();
         }
-        out += "]}";
+        w.end_array().end_object();
     }
-    out += "}}";
-    return out;
+    return w.build();
 }
 
 void
@@ -702,31 +683,25 @@ std::string
 SloTracker::json(double now) const
 {
     const Status status = evaluate(now);
-    std::string out = "{\"schema\":\"cascade.slo.v1\",\"breached\":";
-    out += status.breached ? "true" : "false";
-    out += ",\"window_s\":" + format_short(config_.window_s);
-    out += ",\"objectives\":[";
-    bool first = true;
+    JsonWriter w;
+    w.str("schema", "cascade.slo.v1")
+        .boolean("breached", status.breached)
+        .dbl("window_s", config_.window_s, "%.6g")
+        .begin_array("objectives");
     for (const Objective& o : status.objectives) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += "{\"name\":\"" + json_escape(o.name) + '"';
+        w.begin_object().str("name", o.name);
         if (!o.tenant.empty()) {
-            out += ",\"tenant\":\"" + json_escape(o.tenant) + '"';
+            w.str("tenant", o.tenant);
         }
-        out += ",\"observed\":" + format_short(o.observed);
-        out += ",\"threshold\":" + format_short(o.threshold);
-        out += std::string(",\"bound\":\"") +
-               (o.upper_bound ? "upper" : "lower") + '"';
-        out += ",\"samples\":" + std::to_string(o.samples);
-        out += std::string(",\"breached\":") +
-               (o.breached ? "true" : "false");
-        out += ",\"breaches\":" + std::to_string(o.breaches) + '}';
+        w.dbl("observed", o.observed, "%.6g")
+            .dbl("threshold", o.threshold, "%.6g")
+            .str("bound", o.upper_bound ? "upper" : "lower")
+            .num("samples", o.samples)
+            .boolean("breached", o.breached)
+            .num("breaches", o.breaches)
+            .end_object();
     }
-    out += "]}";
-    return out;
+    return w.build();
 }
 
 std::string

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <csignal>
 #include <cstdlib>
@@ -37,365 +36,38 @@ digest_hex(std::string_view data)
 }
 
 // ---------------------------------------------------------------------------
-// JsonWriter
-
-void
-JsonWriter::key(const char* k)
-{
-    if (!body_.empty()) {
-        body_ += ',';
-    }
-    body_ += '"';
-    body_ += k;
-    body_ += "\":";
-}
-
-JsonWriter&
-JsonWriter::str(const char* k, std::string_view value)
-{
-    key(k);
-    body_ += '"';
-    body_ += json_escape(std::string(value));
-    body_ += '"';
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::num(const char* k, uint64_t value)
-{
-    key(k);
-    body_ += std::to_string(value);
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::num_signed(const char* k, int64_t value)
-{
-    key(k);
-    body_ += std::to_string(value);
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::dbl(const char* k, double value)
-{
-    key(k);
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    body_ += buf;
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::boolean(const char* k, bool value)
-{
-    key(k);
-    body_ += value ? "true" : "false";
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::raw(const char* k, std::string_view json)
-{
-    key(k);
-    body_ += json;
-    return *this;
-}
-
-// ---------------------------------------------------------------------------
-// JSON parser
+// Journal
 
 namespace {
 
-struct Parser {
-    std::string_view text;
-    size_t pos = 0;
-    std::string error;
-
-    bool fail(const std::string& msg)
-    {
-        if (error.empty()) {
-            error = msg + " at offset " + std::to_string(pos);
-        }
-        return false;
-    }
-
-    void skip_ws()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos]))) {
-            ++pos;
-        }
-    }
-
-    bool literal(const char* word)
-    {
-        const size_t n = std::strlen(word);
-        if (text.compare(pos, n, word) != 0) {
-            return fail(std::string("expected '") + word + "'");
-        }
-        pos += n;
-        return true;
-    }
-
-    bool parse_string(std::string* out)
-    {
-        if (pos >= text.size() || text[pos] != '"') {
-            return fail("expected string");
-        }
-        ++pos;
-        out->clear();
-        while (pos < text.size()) {
-            const char c = text[pos];
-            if (c == '"') {
-                ++pos;
-                return true;
-            }
-            if (c == '\\') {
-                if (pos + 1 >= text.size()) {
-                    return fail("truncated escape");
-                }
-                const char e = text[pos + 1];
-                pos += 2;
-                switch (e) {
-                    case '"': *out += '"'; break;
-                    case '\\': *out += '\\'; break;
-                    case '/': *out += '/'; break;
-                    case 'b': *out += '\b'; break;
-                    case 'f': *out += '\f'; break;
-                    case 'n': *out += '\n'; break;
-                    case 'r': *out += '\r'; break;
-                    case 't': *out += '\t'; break;
-                    case 'u': {
-                        if (pos + 4 > text.size()) {
-                            return fail("truncated \\u escape");
-                        }
-                        unsigned cp = 0;
-                        for (int i = 0; i < 4; ++i) {
-                            const char h = text[pos + i];
-                            cp <<= 4;
-                            if (h >= '0' && h <= '9') {
-                                cp |= h - '0';
-                            } else if (h >= 'a' && h <= 'f') {
-                                cp |= h - 'a' + 10;
-                            } else if (h >= 'A' && h <= 'F') {
-                                cp |= h - 'A' + 10;
-                            } else {
-                                return fail("bad \\u escape");
-                            }
-                        }
-                        pos += 4;
-                        // BMP-only UTF-8 encoding; the journal writer never
-                        // emits surrogate pairs (it escapes bytes < 0x20).
-                        if (cp < 0x80) {
-                            *out += static_cast<char>(cp);
-                        } else if (cp < 0x800) {
-                            *out += static_cast<char>(0xc0 | (cp >> 6));
-                            *out += static_cast<char>(0x80 | (cp & 0x3f));
-                        } else {
-                            *out += static_cast<char>(0xe0 | (cp >> 12));
-                            *out +=
-                                static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-                            *out += static_cast<char>(0x80 | (cp & 0x3f));
-                        }
-                        break;
-                    }
-                    default:
-                        return fail("unknown escape");
-                }
-                continue;
-            }
-            *out += c;
-            ++pos;
-        }
-        return fail("unterminated string");
-    }
-
-    bool parse_value(JsonValue* out)
-    {
-        skip_ws();
-        if (pos >= text.size()) {
-            return fail("unexpected end of input");
-        }
-        const char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            out->kind = JsonValue::Kind::Object;
-            skip_ws();
-            if (pos < text.size() && text[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                skip_ws();
-                std::string k;
-                if (!parse_string(&k)) {
-                    return false;
-                }
-                skip_ws();
-                if (pos >= text.size() || text[pos] != ':') {
-                    return fail("expected ':'");
-                }
-                ++pos;
-                JsonValue v;
-                if (!parse_value(&v)) {
-                    return false;
-                }
-                out->obj.emplace_back(std::move(k), std::move(v));
-                skip_ws();
-                if (pos < text.size() && text[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (pos < text.size() && text[pos] == '}') {
-                    ++pos;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            out->kind = JsonValue::Kind::Array;
-            skip_ws();
-            if (pos < text.size() && text[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                JsonValue v;
-                if (!parse_value(&v)) {
-                    return false;
-                }
-                out->arr.push_back(std::move(v));
-                skip_ws();
-                if (pos < text.size() && text[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (pos < text.size() && text[pos] == ']') {
-                    ++pos;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-        }
-        if (c == '"') {
-            out->kind = JsonValue::Kind::String;
-            return parse_string(&out->str);
-        }
-        if (c == 't') {
-            out->kind = JsonValue::Kind::Bool;
-            out->b = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out->kind = JsonValue::Kind::Bool;
-            out->b = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            out->kind = JsonValue::Kind::Null;
-            return literal("null");
-        }
-        // Number.
-        const size_t start = pos;
-        if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) {
-            ++pos;
-        }
-        bool integral = true;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-                text[pos] == '-' || text[pos] == '+')) {
-            if (text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E') {
-                integral = false;
-            }
-            ++pos;
-        }
-        if (pos == start) {
-            return fail("expected value");
-        }
-        const std::string tok(text.substr(start, pos - start));
-        out->kind = JsonValue::Kind::Number;
-        out->num = std::strtod(tok.c_str(), nullptr);
-        if (integral && tok[0] != '-') {
-            out->is_int = true;
-            out->u64 = std::strtoull(tok.c_str(), nullptr, 10);
-        }
-        return true;
-    }
-};
-
-} // namespace
-
-const JsonValue*
-JsonValue::find(const std::string& k) const
+void
+write_line(std::FILE* f, const std::string& line)
 {
-    if (kind != Kind::Object) {
+    std::fwrite(line.data(), 1, line.size(), f);
+    std::fputc('\n', f);
+}
+
+/// Creates \p path and writes a journal's first line,
+/// `{"schema":"cascade.events.v1","header":<header>}`.
+std::FILE*
+open_journal(const std::string& path, const std::string& header_json,
+             std::string* err)
+{
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        if (err != nullptr) {
+            *err = path + ": " + std::strerror(errno);
+        }
         return nullptr;
     }
-    for (const auto& [key, value] : obj) {
-        if (key == k) {
-            return &value;
-        }
-    }
-    return nullptr;
+    write_line(f, JsonWriter()
+                      .str("schema", "cascade.events.v1")
+                      .raw("header", header_json.empty() ? "{}" : header_json)
+                      .build());
+    return f;
 }
 
-uint64_t
-JsonValue::get_u64(const std::string& k, uint64_t dflt) const
-{
-    const JsonValue* v = find(k);
-    if (v == nullptr || v->kind != Kind::Number) {
-        return dflt;
-    }
-    return v->is_int ? v->u64 : static_cast<uint64_t>(v->num);
-}
-
-double
-JsonValue::get_num(const std::string& k, double dflt) const
-{
-    const JsonValue* v = find(k);
-    return (v != nullptr && v->kind == Kind::Number) ? v->num : dflt;
-}
-
-bool
-JsonValue::get_bool(const std::string& k, bool dflt) const
-{
-    const JsonValue* v = find(k);
-    return (v != nullptr && v->kind == Kind::Bool) ? v->b : dflt;
-}
-
-std::string
-JsonValue::get_str(const std::string& k, const std::string& dflt) const
-{
-    const JsonValue* v = find(k);
-    return (v != nullptr && v->kind == Kind::String) ? v->str : dflt;
-}
-
-bool
-parse_json(std::string_view text, JsonValue* out, std::string* err)
-{
-    Parser p{text, 0, {}};
-    if (!p.parse_value(out)) {
-        if (err != nullptr) {
-            *err = p.error;
-        }
-        return false;
-    }
-    p.skip_ws();
-    if (p.pos != text.size()) {
-        if (err != nullptr) {
-            *err = "trailing characters at offset " + std::to_string(p.pos);
-        }
-        return false;
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// Journal
+} // namespace
 
 Journal::Journal(size_t ring_capacity)
     : ring_capacity_(ring_capacity == 0 ? 1 : ring_capacity)
@@ -443,9 +115,7 @@ Journal::record(const char* type, std::string data)
         next_ = (next_ + 1) % ring_capacity_;
         count_ = ring_.size();
         if (file_ != nullptr) {
-            const std::string line = event_json(event);
-            std::fwrite(line.data(), 1, line.size(), file_);
-            std::fputc('\n', file_);
+            write_line(file_, event_json(event));
         }
         observer = observer_;
         if (!taps_.empty()) {
@@ -477,15 +147,10 @@ Journal::start_file(const std::string& path, const std::string& header_json,
         }
         return false;
     }
-    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::FILE* f = open_journal(path, header_json, err);
     if (f == nullptr) {
-        if (err != nullptr) {
-            *err = path + ": " + std::strerror(errno);
-        }
         return false;
     }
-    std::fprintf(f, "{\"schema\":\"cascade.events.v1\",\"header\":%s}\n",
-                 header_json.empty() ? "{}" : header_json.c_str());
     file_ = f;
     path_ = path;
     return true;
@@ -513,19 +178,12 @@ bool
 Journal::write_ring(const std::string& path, const std::string& header_json,
                     std::string* err) const
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::FILE* f = open_journal(path, header_json, err);
     if (f == nullptr) {
-        if (err != nullptr) {
-            *err = path + ": " + std::strerror(errno);
-        }
         return false;
     }
-    std::fprintf(f, "{\"schema\":\"cascade.events.v1\",\"header\":%s}\n",
-                 header_json.empty() ? "{}" : header_json.c_str());
     for (const Event& event : ring()) {
-        const std::string line = event_json(event);
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fputc('\n', f);
+        write_line(f, event_json(event));
     }
     std::fclose(f);
     return true;
@@ -578,17 +236,11 @@ Journal::ring() const
 std::string
 Journal::ring_json() const
 {
-    std::string out = "[";
-    bool first = true;
+    JsonWriter w(JsonWriter::Root::Array);
     for (const Event& event : ring()) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += event_json(event);
+        w.raw(event_json(event));
     }
-    out += ']';
-    return out;
+    return w.build();
 }
 
 uint64_t
@@ -604,26 +256,17 @@ Journal::event_json(const Event& event)
     // This exact shape ("data" last, payload verbatim) is relied upon by
     // replay's loader, which compares the raw payload text of recorded
     // vs. re-executed events.
-    std::string out = "{\"seq\":";
-    out += std::to_string(event.seq);
-    out += ",\"vt\":";
-    out += std::to_string(event.vt);
-    out += ",\"type\":\"";
-    out += json_escape(event.type);
-    out += "\",";
+    JsonWriter w;
+    w.num("seq", event.seq).num("vt", event.vt).str("type", event.type);
     // Shared-mode attribution tag; omitted entirely at tenant 0 so
     // exclusive-session journals are byte-identical to pre-tag ones.
     // Placed before "data" — replay's loader extracts the payload as
     // everything from the final "data": key, and must not see it.
     if (event.tenant != 0) {
-        out += "\"tenant\":";
-        out += std::to_string(event.tenant);
-        out += ',';
+        w.num("tenant", event.tenant);
     }
-    out += "\"data\":";
-    out += event.data.empty() ? "{}" : event.data;
-    out += '}';
-    return out;
+    w.raw("data", event.data.empty() ? "{}" : event.data);
+    return w.build();
 }
 
 // ---------------------------------------------------------------------------
@@ -746,40 +389,30 @@ BlackBox::set_directory(const std::string& dir)
 std::string
 BlackBox::dump_json(const std::string& reason) const
 {
-    std::string out = "{\"schema\":\"cascade.crash.v1\",\"reason\":\"";
-    out += json_escape(reason);
-    out += "\",\"pid\":";
-    out += std::to_string(static_cast<long>(::getpid()));
-    out += ",\"sources\":[";
+    JsonWriter w;
+    w.str("schema", "cascade.crash.v1")
+        .str("reason", reason)
+        .num_signed("pid", ::getpid())
+        .begin_array("sources");
     // Best-effort locking: if the crash happened while the registry lock
     // was held we still want the dump, at the cost of a racy read.
     const bool locked = mutex_.try_lock();
-    bool first = true;
     for (const Source& source : sources_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += "{\"name\":\"";
-        out += json_escape(source.name);
-        out += "\",\"data\":";
         std::string data;
         try {
             data = source.provider();
         } catch (...) {
             data.clear();
         }
-        if (data.empty()) {
-            data = "null";
-        }
-        out += data;
-        out += '}';
+        w.begin_object()
+            .str("name", source.name)
+            .raw("data", data.empty() ? "null" : data)
+            .end_object();
     }
     if (locked) {
         mutex_.unlock();
     }
-    out += "]}";
-    return out;
+    return w.build();
 }
 
 std::string
@@ -798,15 +431,10 @@ BlackBox::dump(const std::string& reason)
     }
     if (dir.empty()) {
         const char* env = std::getenv("CASCADE_CRASH_DIR");
-        if (env != nullptr && env[0] != '\0') {
-            dir = env;
-        } else {
-            dir = ".";
-        }
+        dir = std::string(env != nullptr && env[0] != '\0' ? env : ".");
     }
-    const std::string path = dir + "/cascade-crash-" +
-                             std::to_string(static_cast<long>(::getpid())) +
-                             ".json";
+    const std::string path =
+        dir + "/cascade-crash-" + std::to_string(::getpid()) + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
         return "";

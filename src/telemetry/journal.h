@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "telemetry/sync.h"
 
 namespace cascade::telemetry {
@@ -40,58 +41,6 @@ namespace cascade::telemetry {
 uint64_t fnv1a64(std::string_view data);
 /// fnv1a64 rendered as 16 lowercase hex digits.
 std::string digest_hex(std::string_view data);
-
-/// Incremental builder for one JSON object with insertion-ordered keys.
-/// Event payloads must be built with this (or be byte-stable some other
-/// way): replay compares the raw payload text of recorded vs. re-executed
-/// events, so the serialization itself is part of the schema.
-class JsonWriter {
-  public:
-    JsonWriter& str(const char* key, std::string_view value);
-    JsonWriter& num(const char* key, uint64_t value);
-    JsonWriter& num_signed(const char* key, int64_t value);
-    /// Doubles print with %.17g: enough digits that a parse -> re-print
-    /// round trip is exact (options headers survive replay re-recording).
-    JsonWriter& dbl(const char* key, double value);
-    JsonWriter& boolean(const char* key, bool value);
-    /// Pre-serialized JSON (objects/arrays) embedded verbatim.
-    JsonWriter& raw(const char* key, std::string_view json);
-
-    std::string build() const { return body_.empty() ? "{}" : '{' + body_ + '}'; }
-
-  private:
-    void key(const char* k);
-    std::string body_;
-};
-
-/// A parsed JSON value (what load_journal and tests read journals back
-/// with). Minimal by design: objects keep insertion order, integers that
-/// fit uint64 are preserved exactly.
-struct JsonValue {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool b = false;
-    double num = 0;
-    bool is_int = false;   ///< no '.', 'e', or '-' mantissa loss
-    uint64_t u64 = 0;      ///< exact value when is_int
-    std::string str;
-    std::vector<JsonValue> arr;
-    std::vector<std::pair<std::string, JsonValue>> obj;
-
-    /// Object member lookup (nullptr when absent or not an object).
-    const JsonValue* find(const std::string& k) const;
-    /// Convenience accessors with defaults for absent/mistyped members.
-    uint64_t get_u64(const std::string& k, uint64_t dflt = 0) const;
-    double get_num(const std::string& k, double dflt = 0) const;
-    bool get_bool(const std::string& k, bool dflt = false) const;
-    std::string get_str(const std::string& k,
-                        const std::string& dflt = "") const;
-};
-
-/// Parses one JSON document. Returns false (with *err) on malformed input.
-bool parse_json(std::string_view text, JsonValue* out,
-                std::string* err = nullptr);
 
 /// The structured event journal. One per Runtime; always on (the ring),
 /// optionally mirrored to a JSONL file (the recorder).

@@ -11,31 +11,24 @@ namespace {
 std::string
 request_json(const RequestRecord& r)
 {
-    char buf[128];
-    std::string out = "{\"id\":" + std::to_string(r.id) + ",\"kind\":\"" +
-                      r.kind + "\",\"version\":" +
-                      std::to_string(r.version) +
-                      ",\"tenant\":" + std::to_string(r.tenant);
-    out += ",\"done\":";
-    out += r.done ? "true" : "false";
-    out += ",\"ok\":";
-    out += r.ok ? "true" : "false";
-    out += ",\"cache_hit\":";
-    out += r.cache_hit ? "true" : "false";
-    std::snprintf(buf, sizeof buf, ",\"start_us\":%.3f,\"total_us\":%.3f",
-                  r.start_us, r.done ? r.total_us() : 0.0);
-    out += buf;
-    out += ",\"segments\":[";
-    for (size_t i = 0; i < r.segments.size(); ++i) {
-        if (i != 0) {
-            out += ',';
-        }
-        std::snprintf(buf, sizeof buf, "{\"name\":\"%s\",\"us\":%.3f}",
-                      r.segments[i].name, r.segments[i].dur_us);
-        out += buf;
+    JsonWriter w;
+    w.num("id", r.id)
+        .str("kind", r.kind)
+        .num("version", r.version)
+        .num("tenant", r.tenant)
+        .boolean("done", r.done)
+        .boolean("ok", r.ok)
+        .boolean("cache_hit", r.cache_hit)
+        .dbl("start_us", r.start_us, "%.3f")
+        .dbl("total_us", r.done ? r.total_us() : 0.0, "%.3f")
+        .begin_array("segments");
+    for (const RequestSegment& s : r.segments) {
+        w.begin_object()
+            .str("name", s.name)
+            .dbl("us", s.dur_us, "%.3f")
+            .end_object();
     }
-    out += "]}";
-    return out;
+    return w.build();
 }
 
 } // namespace
@@ -213,33 +206,23 @@ RequestTracker::completed_total() const
 std::string
 RequestTracker::json() const
 {
-    std::string out = "{\"schema\":\"cascade.requests.v1\"";
+    JsonWriter w;
+    w.str("schema", "cascade.requests.v1");
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        out += ",\"completed\":" + std::to_string(completed_) +
-               ",\"open\":" + std::to_string(open_.size());
+        w.num("completed", completed_).num("open", open_.size());
     }
-    out += ",\"requests\":[";
-    bool first = true;
+    w.begin_array("requests");
     for (const RequestRecord& r : recent()) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += request_json(r);
+        w.raw(request_json(r));
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (const RequestRecord& r : open_) {
-            if (!first) {
-                out += ',';
-            }
-            first = false;
-            out += request_json(r);
+            w.raw(request_json(r));
         }
     }
-    out += "]}\n";
-    return out;
+    return w.build() + '\n';
 }
 
 std::string

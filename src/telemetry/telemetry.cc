@@ -34,14 +34,6 @@ atomic_max(std::atomic<uint64_t>& slot, uint64_t v)
     }
 }
 
-std::string
-format_double(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
-}
-
 } // namespace
 
 void
@@ -256,46 +248,32 @@ std::string
 Registry::json() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string out = "{\"counters\":{";
-    bool first = true;
+    JsonWriter w;
+    w.begin_object("counters");
     for (const auto& [name, c] : counters_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += '"' + json_escape(name) +
-               "\":" + std::to_string(c->value());
+        w.num(name, c->value());
     }
-    out += "},\"gauges\":{";
-    first = true;
+    w.end_object().begin_object("gauges");
     for (const auto& [name, g] : gauges_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += '"' + json_escape(name) +
-               "\":{\"value\":" + std::to_string(g->value()) +
-               ",\"high_water\":" + std::to_string(g->high_water()) + '}';
+        w.begin_object(name)
+            .num_signed("value", g->value())
+            .num_signed("high_water", g->high_water())
+            .end_object();
     }
-    out += "},\"histograms\":{";
-    first = true;
+    w.end_object().begin_object("histograms");
     for (const auto& [name, h] : histograms_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += '"' + json_escape(name) +
-               "\":{\"count\":" + std::to_string(h->count()) +
-               ",\"sum\":" + std::to_string(h->sum()) +
-               ",\"min\":" + std::to_string(h->min()) +
-               ",\"max\":" + std::to_string(h->max()) +
-               ",\"mean\":" + format_double(h->mean()) +
-               ",\"p50\":" + std::to_string(h->quantile(0.5)) +
-               ",\"p90\":" + std::to_string(h->quantile(0.9)) +
-               ",\"p99\":" + std::to_string(h->quantile(0.99)) + '}';
+        w.begin_object(name)
+            .num("count", h->count())
+            .num("sum", h->sum())
+            .num("min", h->min())
+            .num("max", h->max())
+            .dbl("mean", h->mean(), "%.6g")
+            .num("p50", h->quantile(0.5))
+            .num("p90", h->quantile(0.9))
+            .num("p99", h->quantile(0.99))
+            .end_object();
     }
-    out += "}}";
-    return out;
+    return w.build();
 }
 
 } // namespace cascade::telemetry

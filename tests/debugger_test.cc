@@ -526,8 +526,8 @@ TEST(Debugger, TamperedFireIterationReportsFirstDivergence)
 
     const size_t line_start = text.rfind('\n', fire_at) + 1;
     const size_t line_end = text.find('\n', fire_at);
-    telemetry::JsonValue tampered_line;
-    ASSERT_TRUE(telemetry::parse_json(
+    JsonValue tampered_line;
+    ASSERT_TRUE(parse_json(
         text.substr(line_start, line_end - line_start), &tampered_line));
     const uint64_t tampered_seq = tampered_line.get_u64("seq");
     ASSERT_GT(tampered_seq, 0u);

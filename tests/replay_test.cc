@@ -170,8 +170,8 @@ TEST(Replay, TamperedJournalReportsFirstDivergingEvent)
     // Recover the tampered line's recorded seq for the assertion below.
     const size_t line_start = text.rfind('\n', at) + 1;
     const size_t line_end = text.find('\n', at);
-    telemetry::JsonValue tampered_line;
-    ASSERT_TRUE(telemetry::parse_json(
+    JsonValue tampered_line;
+    ASSERT_TRUE(parse_json(
         text.substr(line_start, line_end - line_start), &tampered_line));
     const uint64_t tampered_seq = tampered_line.get_u64("seq");
     ASSERT_GT(tampered_seq, 0u);
@@ -613,8 +613,8 @@ TEST(Replay, JournalHeaderRoundTripsEveryOption)
     o.profiling = true;
     o.compile_seed = 4242;
     Runtime rt(o);
-    telemetry::JsonValue header;
-    ASSERT_TRUE(telemetry::parse_json(rt.journal_header_json(), &header));
+    JsonValue header;
+    ASSERT_TRUE(parse_json(rt.journal_header_json(), &header));
     // The fifteen fields asserted below are all the header holds.
     EXPECT_EQ(header.obj.size(), 15u);
 
